@@ -4,15 +4,8 @@ relating structure to the quality of group output."""
 
 __version__ = "0.1.0"
 
-from .graph import (
-    StructureMetrics,
-    TransitionMatrix,
-    WeightedGraph,
-    degeneracy,
-    determinism,
-    effective_information,
-)
-from .network import ProjectRecord, build_network, filter_projects, project_record
+from .graph import StructureMetrics, WeightedGraph, effective_information
+from .network import ProjectRecord, build_networks, filter_projects, project_record
 from .quality import AssessmentRecord, Grade, QualityScore, count_quality, q_score
 from .stats import (
     DataMatrix,
@@ -41,10 +34,7 @@ from .wikitext import (
 __all__ = [
     "__version__",
     "WeightedGraph",
-    "TransitionMatrix",
     "StructureMetrics",
-    "determinism",
-    "degeneracy",
     "effective_information",
     "TalkPage",
     "DiscussionThread",
@@ -58,7 +48,7 @@ __all__ = [
     "parse_talk_page",
     "extract_project_members",
     "ProjectRecord",
-    "build_network",
+    "build_networks",
     "project_record",
     "filter_projects",
     "Grade",

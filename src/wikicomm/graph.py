@@ -1,7 +1,8 @@
 """Weighted undirected interaction graphs and random-walk structure metrics.
 
 The communication structure of a group is summarized by three quantities
-derived from the random-walk transition matrix of its interaction graph:
+of the random walk on its interaction graph, where a walker at node i steps
+to neighbour j with probability w_ij / s_i (s_i is the strength of i):
 
 * determinism: average certainty of a walker's next step, i.e. how
   specific each member's connections are;
@@ -9,9 +10,11 @@ derived from the random-walk transition matrix of its interaction graph:
   on a few members;
 * effective information: determinism minus degeneracy.
 
-All three are measured in bits, computed over non-isolated nodes only, and
-have a maximum of log2(n) for n active nodes, so normalized variants divide
-by log2(n).
+All three are measured in bits, computed over the n non-isolated nodes
+only, and have a maximum of log2(n), so normalized variants divide by
+log2(n). They are computed in O(E) from the edge list, never from an n×n
+matrix: the entropy of node i's step is log2 s_i − Σ_j w_ij log2 w_ij / s_i,
+and the mean step distribution accumulates w_ij / (n·s_i) per edge.
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ import numpy as np
 __all__ = [
     "SelfLoopError",
     "WeightedGraph",
-    "TransitionMatrix",
     "StructureMetrics",
-    "transition_matrix",
-    "determinism",
-    "degeneracy",
     "effective_information",
     "write_edge_list",
     "read_edge_list",
@@ -160,43 +159,6 @@ class WeightedGraph:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic matrix of a random walk on a weighted graph.
-
-    ``matrix[i, j]`` is ``weight(i, j) / strength(i)`` for non-isolated node
-    ``i``; rows of isolated nodes are all-zero and flagged inactive. Node
-    order is the sorted node list in ``nodes``.
-    """
-
-    nodes: tuple[str, ...]
-    matrix: np.ndarray
-    active: np.ndarray
-    active_count: int
-
-
-def transition_matrix(g: WeightedGraph) -> TransitionMatrix:
-    """Derive the walk transition matrix of ``g`` (zero rows for isolated nodes)."""
-    nodes = tuple(sorted(g.nodes))
-    index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    adj = np.zeros((n, n), dtype=float)
-    for u, v, w in g.edges():
-        adj[index[u], index[v]] = w
-        adj[index[v], index[u]] = w
-    strength = adj.sum(axis=1)
-    active = strength > 0
-    matrix = np.zeros_like(adj)
-    if active.any():
-        matrix[active] = adj[active] / strength[active, None]
-    return TransitionMatrix(
-        nodes=nodes,
-        matrix=matrix,
-        active=active,
-        active_count=int(active.sum()),
-    )
-
-
-@dataclass(frozen=True)
 class StructureMetrics:
     """Bit-valued and normalized walk-structure metrics of one graph."""
 
@@ -209,55 +171,39 @@ class StructureMetrics:
     active_n: int
 
 
-def _row_entropy_bits(rows: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each row, with the 0·log2(0) = 0 convention."""
-    p = np.where(rows > 0, rows, 1.0)
-    return -(rows * np.log2(p)).sum(axis=1)
-
-
-def _active_rows(g: WeightedGraph, caller: str) -> np.ndarray:
-    tm = transition_matrix(g)
-    if tm.active_count < 2:
-        raise ValueError(
-            f"{caller} requires at least 2 non-isolated nodes, got {tm.active_count}"
-        )
-    return tm.matrix[tm.active]
-
-
-def determinism(g: WeightedGraph) -> float:
-    """Average walker certainty: log2(n) minus mean row entropy over active nodes.
-
-    Raises:
-        ValueError: if fewer than 2 nodes are non-isolated.
-    """
-    rows = _active_rows(g, "determinism")
-    n_active = rows.shape[0]
-    return math.log2(n_active) - float(_row_entropy_bits(rows).mean())
-
-
-def degeneracy(g: WeightedGraph) -> float:
-    """Concentration of the walk: log2(n) minus entropy of the mean active row.
-
-    Raises:
-        ValueError: if fewer than 2 nodes are non-isolated.
-    """
-    rows = _active_rows(g, "degeneracy")
-    n_active = rows.shape[0]
-    mean_row = rows.mean(axis=0)
-    return math.log2(n_active) - float(_row_entropy_bits(mean_row[None, :])[0])
-
-
 def effective_information(g: WeightedGraph) -> StructureMetrics:
     """All six structure metrics of ``g`` (bit values and log2(n)-normalized).
 
     Raises:
         ValueError: if fewer than 2 nodes are non-isolated.
     """
-    rows = _active_rows(g, "effective_information")
-    n_active = rows.shape[0]
+    # Sorted edges make the floating-point sums independent of insertion order.
+    edges = sorted(g._edges.items())
+    index: dict[str, int] = {}
+    ends_u: list[int] = []
+    ends_v: list[int] = []
+    for (u, v), _ in edges:
+        ends_u.append(index.setdefault(u, len(index)))
+        ends_v.append(index.setdefault(v, len(index)))
+    n_active = len(index)
+    if n_active < 2:
+        raise ValueError(
+            f"effective_information requires at least 2 non-isolated nodes, got {n_active}"
+        )
+    # Each undirected edge is one entry in the row of either endpoint.
+    rows = np.array(ends_u + ends_v, dtype=np.intp)
+    cols = np.array(ends_v + ends_u, dtype=np.intp)
+    weights = np.array([w for _, w in edges] * 2, dtype=float)
+    strength = np.bincount(rows, weights=weights, minlength=n_active)
+    w_log_w = np.bincount(rows, weights=weights * np.log2(weights), minlength=n_active)
+    row_entropy = np.log2(strength) - w_log_w / strength
+    # Every active node is some row's target, so no mean-row entry is zero.
+    mean_row = np.bincount(
+        cols, weights=weights / (n_active * strength[rows]), minlength=n_active
+    )
     log_n = math.log2(n_active)
-    det = log_n - float(_row_entropy_bits(rows).mean())
-    deg = log_n - float(_row_entropy_bits(rows.mean(axis=0)[None, :])[0])
+    det = log_n - float(row_entropy.mean())
+    deg = log_n + float((mean_row * np.log2(mean_row)).sum())
     ei = det - deg
     return StructureMetrics(
         determinism_bits=det,

@@ -8,6 +8,7 @@ A is not B. Mass-message threads must be filtered out upstream.
 from __future__ import annotations
 
 import csv
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -15,7 +16,7 @@ from .graph import WeightedGraph
 
 __all__ = [
     "ProjectRecord",
-    "build_network",
+    "build_networks",
     "project_record",
     "filter_projects",
     "write_project_summary",
@@ -34,29 +35,41 @@ class ProjectRecord:
     fraction_in_network: float
 
 
-def build_network(
-    posts: Iterable[tuple[str, str]],
-    members: Iterable[str],
+def build_networks(
+    pairs: Iterable[tuple[str, str]],
+    members_by_project: Mapping[str, Iterable[str]],
     require_both_members: bool = True,
-) -> WeightedGraph:
-    """Count undirected interactions from ``(author, page_owner)`` post pairs.
+) -> dict[str, WeightedGraph]:
+    """Each project's network from one pass over ``(author, page_owner)`` post pairs.
 
-    Self-posts never count. With ``require_both_members`` (the default) an
-    interaction counts only when both endpoints belong to ``members``; the
-    alternative keeps interactions with at least one member endpoint, in
-    which case the network is no longer a subgraph of the member set.
+    Self-posts never count. Every member is a node of its project's network,
+    isolated when it exchanged no counted message. With
+    ``require_both_members`` (the default) an interaction counts only when
+    both endpoints are members; the alternative keeps interactions with at
+    least one member endpoint, in which case the network is no longer a
+    subgraph of the member set.
+
+    The pairs are counted once into a per-user neighbour index, so the cost
+    of a project scales with its members' degrees, not with the corpus.
     """
-    member_set = set(members)
-    g = WeightedGraph()
-    for author, owner in posts:
-        if author == owner:
-            continue
-        if require_both_members:
-            if author in member_set and owner in member_set:
-                g.add_interaction(author, owner)
-        elif author in member_set or owner in member_set:
-            g.add_interaction(author, owner)
-    return g
+    neighbours: dict[str, Counter[str]] = defaultdict(Counter)
+    for author, owner in pairs:
+        if author != owner:
+            neighbours[author][owner] += 1
+            neighbours[owner][author] += 1
+    networks = {}
+    for project, members in members_by_project.items():
+        member_set = set(members)
+        edges = []
+        for u in member_set:
+            for v, w in neighbours.get(u, {}).items():
+                if v in member_set:
+                    if u < v:
+                        edges.append((u, v, w))
+                elif not require_both_members:
+                    edges.append((u, v, w))
+        networks[project] = WeightedGraph.from_edges(edges, nodes=member_set)
+    return networks
 
 
 def project_record(
@@ -66,20 +79,24 @@ def project_record(
 ) -> ProjectRecord:
     """Assemble a :class:`ProjectRecord`, computing the member fraction in-network.
 
+    The fraction counts only members: a non-member endpoint (kept when
+    interactions need just one member) is in the network but not in the
+    numerator.
+
     Raises:
         ValueError: if the member set is empty.
     """
     member_set = frozenset(members)
     if not member_set:
         raise ValueError(f"project {project!r} has an empty member set")
-    active = len(network.active_nodes())
+    active = network.active_nodes()
     return ProjectRecord(
         project=project,
         members=member_set,
         network=network,
         member_count=len(member_set),
-        active_count=active,
-        fraction_in_network=active / len(member_set),
+        active_count=len(active),
+        fraction_in_network=len(active & member_set) / len(member_set),
     )
 
 

@@ -14,13 +14,19 @@ import logging
 import math
 from collections import defaultdict
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .client import MediaWikiClient
 from .config import ConfigError, PipelineConfig, normalize_project_name
-from .graph import WeightedGraph, effective_information, read_edge_list, write_edge_list
-from .network import ProjectRecord, build_network, filter_projects, write_project_summary
+from .graph import effective_information, read_edge_list, write_edge_list
+from .network import (
+    ProjectRecord,
+    build_networks,
+    filter_projects,
+    project_record,
+    write_project_summary,
+)
 from .quality import (
     AssessmentRecord,
     Grade,
@@ -200,53 +206,44 @@ def stage_parse(config: PipelineConfig) -> dict:
 # -- build ------------------------------------------------------------------
 
 
-def _read_posts(path: Path) -> list[dict]:
-    posts = []
+def _read_members(out: Path) -> dict[str, list[str]]:
+    return json.loads((out / "members.json").read_text(encoding="utf-8"))
+
+
+def _message_pairs(path: Path) -> Iterator[tuple[str, str]]:
+    """Stream ``(author, page_owner)`` of every post outside a mass-message thread."""
     with open(path, encoding="utf-8") as f:
         for line in f:
-            line = line.strip()
-            if line:
-                posts.append(json.loads(line))
-    return posts
+            if line.strip():
+                post = json.loads(line)
+                if not post["mass_message"]:
+                    yield post["author"], post["page_owner"]
 
 
 def stage_build(config: PipelineConfig) -> list[ProjectRecord]:
     """Aggregate posts into per-project networks, edge lists, and the summary CSV."""
     out = _out(config)
-    members = json.loads((out / "members.json").read_text(encoding="utf-8"))
-    posts = _read_posts(out / "posts.jsonl")
-    pairs = [
-        (p["author"], p["page_owner"]) for p in posts if not p["mass_message"]
-    ]
+    members = _read_members(out)
+    for project in sorted(members):
+        if not members[project]:
+            log.warning("project %s has no detected members, skipped", project)
+            del members[project]
+    networks = build_networks(
+        _message_pairs(out / "posts.jsonl"), members, config.require_both_members
+    )
 
     networks_dir = out / "networks"
     networks_dir.mkdir(exist_ok=True)
     records = []
     slugs: dict[str, str] = {}
     for project in sorted(members):
-        member_set = set(members[project])
-        if not member_set:
-            log.warning("project %s has no detected members, skipped", project)
-            continue
-        g = build_network(pairs, member_set, config.require_both_members)
-        for m in sorted(member_set):
-            g.add_node(m)
         slug = _slug(project)
         if slug in slugs.values():
             raise ValueError(f"project slug collision for {project!r}")
         slugs[project] = slug
         with open(networks_dir / f"{slug}.edges", "w", encoding="utf-8") as f:
-            write_edge_list(g, f)
-        records.append(
-            ProjectRecord(
-                project=project,
-                members=frozenset(member_set),
-                network=g,
-                member_count=len(member_set),
-                active_count=len(g.active_nodes()),
-                fraction_in_network=len(g.active_nodes()) / len(member_set),
-            )
-        )
+            write_edge_list(networks[project], f)
+        records.append(project_record(project, members[project], networks[project]))
     with open(out / "projects.csv", "w", encoding="utf-8", newline="") as f:
         write_project_summary(records, f)
     log.info("build: %d project networks", len(records))
@@ -326,23 +323,13 @@ def stage_metrics(config: PipelineConfig) -> int:
     summary = _read_projects_csv(out / "projects.csv")
     quality_rows = {row["project"]: row for row in _read_projects_csv(out / "quality.csv")}
 
+    members = _read_members(out)
     records = []
-    graphs: dict[str, WeightedGraph] = {}
     quality_counts: dict[str, int] = {}
     for row in summary:
         project = row["project"]
         with open(out / "networks" / f"{_slug(project)}.edges", encoding="utf-8") as f:
-            graphs[project] = read_edge_list(f)
-        records.append(
-            ProjectRecord(
-                project=project,
-                members=frozenset(graphs[project].nodes),
-                network=graphs[project],
-                member_count=int(row["member_count"]),
-                active_count=int(row["active_nodes"]),
-                fraction_in_network=float(row["fraction_in_network"]),
-            )
-        )
+            records.append(project_record(project, members[project], read_edge_list(f)))
         if project in quality_rows:
             quality_counts[project] = int(quality_rows[project]["n_quality"])
         else:

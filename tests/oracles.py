@@ -2,6 +2,7 @@
 
 Everything here is deliberately coded on a different route than the library:
 graph metrics from explicit per-node dictionaries and a hand-looped entropy,
+networks from a rescan of every post per project,
 OLS through numpy's LAPACK-backed inverse of the normal equations, and the
 incomplete beta from its hypergeometric power series instead of the
 continued fraction.
@@ -53,6 +54,30 @@ def direct_structure_metrics(edges: dict[tuple[str, str], int]) -> tuple[float, 
             averaged[target] = averaged.get(target, 0.0) + p / n
     deg = math.log(n, 2) - entropy_bits(averaged.values())
     return det, deg, n
+
+
+def direct_networks(posts, members_by_project, require_both_members=True):
+    """Per project: (node set, {(u, v): weight} with u < v), rescanning every post.
+
+    Each project's members are nodes; a post counts when its author and page
+    owner differ and both (or, without ``require_both_members``, either) are
+    members of that project.
+    """
+    networks = {}
+    for project, members in members_by_project.items():
+        member_set = set(members)
+        nodes = set(member_set)
+        edges: dict[tuple[str, str], int] = {}
+        for author, owner in posts:
+            if author == owner:
+                continue
+            inside = [author in member_set, owner in member_set]
+            if (all(inside) if require_both_members else any(inside)):
+                key = (min(author, owner), max(author, owner))
+                edges[key] = edges.get(key, 0) + 1
+                nodes.update(key)
+        networks[project] = (nodes, edges)
+    return networks
 
 
 def ols_normal_equations(x: np.ndarray, y: np.ndarray):

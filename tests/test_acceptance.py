@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from wikicomm.config import PipelineConfig
-from wikicomm.graph import WeightedGraph, degeneracy, determinism, effective_information
+from wikicomm.graph import WeightedGraph, effective_information
 from wikicomm.pipeline import STAGE_ORDER, run_stage
 from wikicomm.quality import q_score
 from wikicomm.report import REFERENCE_SNAPSHOT_ANCHORS
@@ -67,9 +67,10 @@ def test_metric_oracle_equivalence_on_200_random_graphs():
             g = random_graph(rng)
             edges = {(u, v): w for u, v, w in g.edges()}
             det_expected, deg_expected, n_expected = direct_structure_metrics(edges)
-            assert abs(determinism(g) - det_expected) < 1e-9
-            assert abs(degeneracy(g) - deg_expected) < 1e-9
-            assert effective_information(g).active_n == n_expected
+            metrics = effective_information(g)
+            assert abs(metrics.determinism_bits - det_expected) < 1e-9
+            assert abs(metrics.degeneracy_bits - deg_expected) < 1e-9
+            assert metrics.active_n == n_expected
         assert time.monotonic() - started < 5.0
 
 
@@ -81,12 +82,12 @@ def test_analytic_graph_cases():
         k4 = WeightedGraph.from_edges(
             [(u, v, 1) for i, u in enumerate("abcd") for v in "abcd"[i + 1 :]]
         )
-        assert abs(determinism(k4) - (2 - math.log2(3))) <= 1e-12
-        assert abs(degeneracy(k4)) <= 1e-12
+        assert abs(effective_information(k4).determinism_bits - (2 - math.log2(3))) <= 1e-12
+        assert abs(effective_information(k4).degeneracy_bits) <= 1e-12
         two = WeightedGraph.from_edges([("x", "y", 1)])
         assert abs(effective_information(two).effective_information_bits - 1.0) <= 1e-12
         for n in (3, 4, 5, 8, 16, 33, 64):
-            assert abs(degeneracy(ring(n))) <= 1e-12
+            assert abs(effective_information(ring(n)).degeneracy_bits) <= 1e-12
 
 
 def test_degeneracy_contrast_star_vs_ring():

@@ -1,7 +1,7 @@
 import io
 import math
+import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from wikicomm.graph import (
     SelfLoopError,
     WeightedGraph,
-    degeneracy,
-    determinism,
     effective_information,
     read_edge_list,
-    transition_matrix,
     write_edge_list,
 )
 
@@ -104,68 +101,43 @@ class TestAverageStrength:
             WeightedGraph().add_node("a").average_strength()
 
 
-class TestTransitionMatrix:
-    def test_two_node_edge_forced(self):
-        tm = transition_matrix(WeightedGraph.from_edges([("a", "b", 1)]))
-        assert np.allclose(tm.matrix, [[0, 1], [1, 0]])
-
-    def test_star_hub_row_uniform(self):
-        tm = transition_matrix(star(4))
-        hub = tm.nodes.index("hub")
-        row = tm.matrix[hub]
-        assert row[hub] == 0
-        assert np.allclose(sorted(row), [0, 1 / 3, 1 / 3, 1 / 3])
-
-    def test_weighted_row(self):
-        g = WeightedGraph.from_edges([("a", "b", 1), ("a", "c", 3)])
-        tm = transition_matrix(g)
-        assert tm.nodes == ("a", "b", "c")
-        assert np.allclose(tm.matrix[0], [0.0, 0.25, 0.75])
-
-    def test_rows_sum_to_one(self):
-        g = WeightedGraph.from_edges([("a", "b", 2), ("b", "c", 5), ("c", "d", 1)])
-        g.add_node("isolated")
-        tm = transition_matrix(g)
-        sums = tm.matrix.sum(axis=1)
-        for i, active in enumerate(tm.active):
-            if active:
-                assert abs(sums[i] - 1.0) < 1e-12
-            else:
-                assert sums[i] == 0.0
-        assert tm.active_count == 4
-
-
 class TestDeterminism:
     def test_two_node(self):
         g = WeightedGraph.from_edges([("a", "b", 1)])
-        assert determinism(g) == pytest.approx(1.0, abs=1e-15)
+        assert effective_information(g).determinism_bits == pytest.approx(1.0, abs=1e-15)
 
     def test_complete_k4(self):
-        assert determinism(complete(4)) == pytest.approx(2 - LOG2_3, abs=1e-12)
+        assert effective_information(complete(4)).determinism_bits == pytest.approx(
+            2 - LOG2_3, abs=1e-12
+        )
 
     def test_star_s4(self):
         # Frozen from the direct-from-definition oracle.
-        assert determinism(star(4)) == pytest.approx(1.603759374819711, abs=1e-12)
+        assert effective_information(star(4)).determinism_bits == pytest.approx(
+            1.603759374819711, abs=1e-12
+        )
 
     def test_too_few_active_nodes(self):
         with pytest.raises(ValueError):
-            determinism(WeightedGraph().add_node("a").add_node("b"))
+            effective_information(WeightedGraph().add_node("a").add_node("b")).determinism_bits
 
 
 class TestDegeneracy:
     def test_complete_k4_is_zero(self):
-        assert abs(degeneracy(complete(4))) <= 1e-12
+        assert abs(effective_information(complete(4)).degeneracy_bits) <= 1e-12
 
     def test_ring_c4_is_zero(self):
-        assert abs(degeneracy(ring(4))) <= 1e-12
+        assert abs(effective_information(ring(4)).degeneracy_bits) <= 1e-12
 
     def test_star_s4(self):
         # Frozen from the oracle: 2 - H(3/4, 1/12, 1/12, 1/12).
-        assert degeneracy(star(4)) == pytest.approx(0.792481250360578, abs=1e-12)
+        assert effective_information(star(4)).degeneracy_bits == pytest.approx(
+            0.792481250360578, abs=1e-12
+        )
 
     def test_too_few_active_nodes(self):
         with pytest.raises(ValueError):
-            degeneracy(WeightedGraph())
+            effective_information(WeightedGraph()).degeneracy_bits
 
 
 class TestEffectiveInformation:
@@ -195,6 +167,37 @@ class TestEffectiveInformation:
             log_n = math.log2(m.active_n)
             assert -1e-12 <= m.determinism_bits <= log_n + 1e-12
             assert -1e-12 <= m.degeneracy_bits <= log_n + 1e-12
+
+
+class TestScale:
+    """Closed forms on 3000 active nodes plus 100 isolated members, in bounded memory."""
+
+    N = 3000
+    ISOLATED = [f"idle{i}" for i in range(100)]
+
+    def metrics_and_peak_bytes(self, g: WeightedGraph):
+        for v in self.ISOLATED:
+            g.add_node(v)
+        tracemalloc.start()
+        try:
+            m = effective_information(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.active_n == self.N
+        return m, peak
+
+    def test_ring(self):
+        m, peak = self.metrics_and_peak_bytes(ring(self.N))
+        assert abs(m.determinism_bits - (math.log2(self.N) - 1)) <= 1e-9
+        assert abs(m.degeneracy_bits) <= 1e-9
+        assert peak < 20 * 2**20
+
+    def test_star(self):
+        n = self.N
+        m, peak = self.metrics_and_peak_bytes(star(n))
+        assert abs(m.determinism_bits - (math.log2(n) - math.log2(n - 1) / n)) <= 1e-9
+        assert peak < 20 * 2**20
 
 
 # -- property tests ----------------------------------------------------------
@@ -275,8 +278,8 @@ def test_isolated_node_changes_nothing(g):
 @given(st.integers(min_value=3, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_vertex_transitive_graphs_have_zero_degeneracy(n):
-    assert abs(degeneracy(ring(n))) <= 1e-12
-    assert abs(degeneracy(complete(n))) <= 1e-12
+    assert abs(effective_information(ring(n)).degeneracy_bits) <= 1e-12
+    assert abs(effective_information(complete(n)).degeneracy_bits) <= 1e-12
 
 
 @given(st.integers(min_value=4, max_value=64))

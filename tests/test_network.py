@@ -7,41 +7,48 @@ from hypothesis import strategies as st
 from wikicomm.graph import WeightedGraph
 from wikicomm.network import (
     ProjectRecord,
-    build_network,
+    build_networks,
     filter_projects,
     project_record,
     write_project_summary,
 )
 
+from oracles import direct_networks
+
 MEMBERS = {"A", "B", "C"}
+
+
+def project_network(posts, members, require_both_members=True) -> WeightedGraph:
+    """One project's network through the multi-project builder."""
+    return build_networks(posts, {"P": members}, require_both_members)["P"]
 
 
 class TestBuildNetwork:
     def test_counts_every_message(self):
         posts = [("A", "B"), ("A", "B"), ("B", "A")]
-        g = build_network(posts, MEMBERS)
+        g = project_network(posts, MEMBERS)
         assert g.weight("A", "B") == 3
 
     def test_self_posts_never_count(self):
-        g = build_network([("A", "A")], MEMBERS)
+        g = project_network([("A", "A")], MEMBERS)
         assert g.edge_count() == 0
 
     def test_non_member_page_owner_excluded(self):
-        g = build_network([("A", "Z")], MEMBERS)
+        g = project_network([("A", "Z")], MEMBERS)
         assert g.edge_count() == 0
         assert "Z" not in g.nodes
 
     def test_non_member_author_excluded(self):
-        g = build_network([("Z", "A")], MEMBERS)
+        g = project_network([("Z", "A")], MEMBERS)
         assert g.edge_count() == 0
 
     def test_switch_keeps_single_member_edges(self):
-        g = build_network([("A", "Z")], MEMBERS, require_both_members=False)
+        g = project_network([("A", "Z")], MEMBERS, require_both_members=False)
         assert g.weight("A", "Z") == 1
 
     def test_total_weight_equals_counted_posts(self):
         posts = [("A", "B"), ("B", "C"), ("C", "A"), ("A", "Z"), ("A", "A")]
-        g = build_network(posts, MEMBERS)
+        g = project_network(posts, MEMBERS)
         assert g.total_weight() == 3
 
 
@@ -54,10 +61,10 @@ class TestBuildNetwork:
 @settings(max_examples=100, deadline=None)
 def test_post_order_is_irrelevant(posts, rng):
     members = set("ABCDE")
-    reference = build_network(posts, members)
+    reference = project_network(posts, members)
     shuffled = list(posts)
     rng.shuffle(shuffled)
-    assert build_network(shuffled, members) == reference
+    assert project_network(shuffled, members) == reference
 
 
 @given(
@@ -67,15 +74,44 @@ def test_post_order_is_irrelevant(posts, rng):
 @settings(max_examples=100, deadline=None)
 def test_adding_posts_is_monotone(posts, extra):
     members = set("ABCDE")
-    before = build_network(posts, members)
-    after = build_network(posts + extra, members)
+    before = project_network(posts, members)
+    after = project_network(posts + extra, members)
     for u, v, w in before.edges():
         assert after.weight(u, v) >= w
 
 
+@st.composite
+def posts_and_projects(draw):
+    users = "ABCDEFGH"
+    posts = draw(
+        st.lists(st.tuples(st.sampled_from(users), st.sampled_from(users)), max_size=60)
+    )
+    projects = draw(
+        st.dictionaries(
+            st.sampled_from(["P1", "P2", "P3", "P4"]),
+            st.sets(st.sampled_from(users), min_size=1, max_size=6),
+            min_size=1,
+        )
+    )
+    return posts, projects
+
+
+@given(posts_and_projects(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_builder_matches_per_project_rescan(case, require_both_members):
+    posts, projects = case
+    networks = build_networks(iter(posts), projects, require_both_members)
+    expected = direct_networks(posts, projects, require_both_members)
+    assert set(networks) == set(expected)
+    for project, (nodes, edges) in expected.items():
+        g = networks[project]
+        assert g.nodes == nodes
+        assert {(u, v): w for u, v, w in g.edges()} == edges
+
+
 class TestProjectRecord:
     def test_fraction(self):
-        g = build_network([("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")],
+        g = project_network([("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")],
                           set("ABCDEFGHIJ"))
         record = project_record("P", set("ABCDEFGHIJ"), g)
         assert record.member_count == 10
@@ -85,6 +121,12 @@ class TestProjectRecord:
     def test_all_isolated(self):
         record = project_record("P", {"A", "B"}, WeightedGraph())
         assert record.fraction_in_network == 0.0
+
+    def test_fraction_counts_only_members(self):
+        g = project_network([("A", "Z"), ("A", "Y")], MEMBERS, require_both_members=False)
+        record = project_record("P", MEMBERS, g)
+        assert record.active_count == 3
+        assert record.fraction_in_network == pytest.approx(1 / 3)
 
     def test_empty_member_set_errors(self):
         with pytest.raises(ValueError):
@@ -131,7 +173,7 @@ class TestFilterProjects:
 
 def test_summary_csv_format():
     record = project_record(
-        "Storms", {"A", "B", "C", "D"}, build_network([("A", "B")], {"A", "B"})
+        "Storms", {"A", "B", "C", "D"}, project_network([("A", "B")], {"A", "B"})
     )
     out = io.StringIO()
     write_project_summary([record], out)
