@@ -260,18 +260,26 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
     with open(out / "assessments.csv", encoding="utf-8") as f:
         raw_records = read_assessments_csv(f)
 
+    # Rows far outnumber the distinct raw spellings of project names, so each
+    # spelling is normalized once; None marks an unusable name.
+    names: dict[str, Optional[str]] = {}
     normalized = []
     for record in raw_records:
-        try:
-            project = normalize_project_name(record.project, config.project_aliases)
-        except ConfigError:
-            log.warning("assessment with unusable project name skipped: %r", record.project)
+        raw = record.project
+        if raw in names:
+            project = names[raw]
+        else:
+            try:
+                project = normalize_project_name(raw, config.project_aliases)
+            except ConfigError:
+                project = None
+            names[raw] = project
+        if project is None:
+            log.warning("assessment with unusable project name skipped: %r", raw)
             continue
         if wanted and project not in wanted:
             continue
-        normalized.append(
-            AssessmentRecord(project=project, article=record.article, grade=record.grade)
-        )
+        normalized.append(AssessmentRecord(project, record.article, record.grade))
 
     by_project: dict[str, list[AssessmentRecord]] = defaultdict(list)
     for record in dedupe_assessments(normalized):
@@ -281,13 +289,14 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
     rows = []
     fa_counts = []
     ga_counts = []
+    fa, ga = Grade.FA, Grade.GA
     for project in sorted(by_project):
         records = by_project[project]
         n_articles, n_quality = count_quality(records)
         counts[project] = (n_articles, n_quality)
         rows.append((project, q_score(n_quality, n_articles, config.p_exponent)))
-        fa_counts.append(sum(1 for r in records if r.grade is Grade.FA))
-        ga_counts.append(sum(1 for r in records if r.grade is Grade.GA))
+        fa_counts.append(sum(1 for r in records if r.grade is fa))
+        ga_counts.append(sum(1 for r in records if r.grade is ga))
     with open(out / "quality.csv", "w", encoding="utf-8", newline="") as f:
         write_quality_csv(rows, f)
 

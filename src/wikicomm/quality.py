@@ -52,6 +52,8 @@ class Grade(enum.Enum):
 
 
 _GRADE_RANK = {Grade.FA: 2, Grade.GA: 1, Grade.OTHER: 0}
+# Looked up once: on Python 3.11 every ``Grade.FA`` runs a descriptor.
+_QUALITY_GRADES = (Grade.FA, Grade.GA)
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def count_quality(records: Iterable[AssessmentRecord]) -> tuple[int, int]:
     for record in records:
         projects.add(record.project)
         articles += 1
-        if record.grade in (Grade.FA, Grade.GA):
+        if record.grade in _QUALITY_GRADES:
             quality += 1
     if len(projects) > 1:
         raise ValueError(f"records span multiple projects: {sorted(projects)}")
@@ -142,23 +144,37 @@ def read_assessments_csv(source: IO[str]) -> list[AssessmentRecord]:
 
     Titles with a recognized non-main namespace prefix are skipped (project
     scope covers encyclopedia articles only); titles without namespace
-    information pass through.
+    information pass through. The columns may come in any order and among
+    others; blank lines are skipped.
+
+    Raises:
+        ValueError: if a required column is missing from the header or a row.
     """
-    reader = csv.DictReader(source)
-    required = {"project", "article", "grade"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    reader = csv.reader(source)
+    header = next(reader, None)
+    required = ("project", "article", "grade")
+    if header is None or not set(required).issubset(header):
         raise ValueError(f"assessments CSV must have columns {sorted(required)}")
+    # A repeated column name reads its last occurrence, as DictReader did.
+    column = {name: i for i, name in enumerate(header)}
+    project_at, article_at, grade_at = (column[name] for name in required)
+    grades: dict[str, Grade] = {}
     records = []
     for row in reader:
-        if not is_main_namespace(row["article"]):
+        if not row:
             continue
-        records.append(
-            AssessmentRecord(
-                project=row["project"],
-                article=row["article"],
-                grade=Grade.parse(row["grade"]),
-            )
-        )
+        try:
+            project, article, raw_grade = row[project_at], row[article_at], row[grade_at]
+        except IndexError:
+            raise ValueError(
+                f"assessments CSV line {reader.line_num}: row lacks a required column"
+            ) from None
+        if not is_main_namespace(article):
+            continue
+        grade = grades.get(raw_grade)
+        if grade is None:
+            grade = grades[raw_grade] = Grade.parse(raw_grade)
+        records.append(AssessmentRecord(project, article, grade))
     return records
 
 

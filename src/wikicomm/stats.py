@@ -16,7 +16,7 @@ from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .special import f_cdf, t_cdf
+from .special import f_sf, t_sf
 
 __all__ = [
     "Descriptives",
@@ -63,8 +63,8 @@ def descriptives(values: Sequence[float]) -> Descriptives:
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Sample Pearson correlation and its two-sided p-value.
 
-    The p-value comes from t = r·sqrt((n-2)/(1-r²)) against the Student-t
-    CDF with n-2 degrees of freedom.
+    The p-value is twice the Student-t upper tail, with n-2 degrees of
+    freedom, at |t| where t = r·sqrt((n-2)/(1-r²)).
 
     Raises:
         ValueError: on unequal lengths, fewer than 3 points, or zero variance.
@@ -87,7 +87,7 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     if 1.0 - r * r <= 0.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * (1.0 - t_cdf(abs(t), n - 2))
+    p = 2.0 * t_sf(abs(t), n - 2)
     return r, min(1.0, max(0.0, p))
 
 
@@ -304,7 +304,7 @@ def ols_fit(
         p_values = {}
         for name, b, s in zip(names, beta, se):
             if s > 0:
-                p_values[name] = 2.0 * (1.0 - t_cdf(abs(b / s), df2))
+                p_values[name] = 2.0 * t_sf(abs(b / s), df2)
             else:
                 p_values[name] = 0.0 if b != 0 else 1.0
     else:
@@ -321,7 +321,7 @@ def ols_fit(
     if k > 0 and df2 > 0 and rss > 0.0:
         f_stat = ((tss - rss) / k) / (rss / df2)
         f_stat = max(0.0, f_stat)
-        f_p = 1.0 - f_cdf(f_stat, k, df2)
+        f_p = f_sf(f_stat, k, df2)
     elif k > 0 and df2 > 0 and tss > 0.0:
         f_stat, f_p = float("inf"), 0.0
     else:
@@ -368,7 +368,7 @@ def nested_f_test(full: OlsFit, reduced: OlsFit) -> FTestResult:
         return FTestResult(f_value=float("inf"), df1=df1, df2=df2, p_value=0.0)
     f_value = max(0.0, ((reduced.rss - full.rss) / df1) / (full.rss / df2))
     return FTestResult(
-        f_value=f_value, df1=df1, df2=df2, p_value=1.0 - f_cdf(f_value, df1, df2)
+        f_value=f_value, df1=df1, df2=df2, p_value=f_sf(f_value, df1, df2)
     )
 
 
@@ -399,5 +399,5 @@ def linear_hypothesis(
         raise ValueError("singular restricted covariance for this combination")
     f_value = (estimate - target) ** 2 / variance
     return FTestResult(
-        f_value=f_value, df1=1, df2=df2, p_value=1.0 - f_cdf(f_value, 1, df2)
+        f_value=f_value, df1=1, df2=df2, p_value=f_sf(f_value, 1, df2)
     )

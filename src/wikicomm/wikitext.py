@@ -63,10 +63,15 @@ _TIMESTAMP_RE = re.compile(
     r"(January|February|March|April|May|June|July|August|September|October|November|December)"
     r"\s+(\d{4})\s+\(UTC\)"
 )
-_DEPTH_RE = re.compile(r"^[:*]+")
+# A pattern that opens with a character class makes the regex engine try a
+# match at every position; one that opens with a literal lets it skip ahead
+# to the next occurrence of that literal.
+_MINUTES_RE = re.compile(r":\d\d,")
+_TALK_TITLE_RE = re.compile(r"[Uu]ser[ _][Tt]alk:(.+)$")
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 # Wikipedia went live in January 2001; signatures dated earlier are suspect.
-_EARLIEST_PLAUSIBLE = datetime(2001, 1, 15, tzinfo=timezone.utc)
+_EARLIEST_PLAUSIBLE = (2001, 1, 15)
 
 
 def canonical_username(raw: str) -> str:
@@ -125,51 +130,73 @@ class TalkPage:
         Raises:
             ValueError: if the title is not in the User-talk namespace.
         """
-        m = re.match(r"[Uu]ser[ _][Tt]alk:(.+)$", title)
+        m = _TALK_TITLE_RE.match(title)
         if not m:
             raise ValueError(f"not a user talk page title: {title!r}")
         owner = canonical_username(m.group(1).split("/", 1)[0])
         return cls(title=title, owner=owner, wikitext=wikitext)
 
 
-def _parse_timestamp(m: re.Match) -> Optional[datetime]:
-    hour, minute = int(m.group(1)), int(m.group(2))
-    day, month, year = int(m.group(3)), _MONTHS[m.group(4)], int(m.group(5))
-    try:
-        ts = datetime(year, month, day, hour, minute, tzinfo=timezone.utc)
-    except ValueError:
-        return None
-    if ts < _EARLIEST_PLAUSIBLE or ts.year > datetime.now(timezone.utc).year:
-        log.warning("timestamp outside plausible range kept: %s", ts.isoformat())
-    return ts
+def _timestamp_matches(text: str) -> Iterator[re.Match]:
+    """The matches of ``_TIMESTAMP_RE.finditer(text)``, found from their ``:MM,``.
+
+    A match holds one colon, right after its one- or two-digit hour, and ends
+    with ``)``. So each ``:MM,`` belongs to at most one match, which starts
+    one or two characters before the colon (the leftmost start wins, as in
+    ``finditer``), and no two matches overlap.
+    """
+    match = _TIMESTAMP_RE.match
+    for anchor in _MINUTES_RE.finditer(text):
+        colon = anchor.start()
+        ts_match = match(text, max(colon - 2, 0)) or match(text, colon - 1)
+        if ts_match is not None:
+            yield ts_match
 
 
-def _iter_signatures(text: str) -> Iterator[tuple[Signature, int, int]]:
-    """Yield ``(signature, start, end)`` for each valid signature occurrence.
+def _iter_signatures(text: str) -> Iterator[tuple[str, datetime, int]]:
+    """Yield ``(author, timestamp, end)`` for each valid signature occurrence.
 
     A valid occurrence is a timestamp with at least one user-namespace link
     earlier on the same line; the last such link names the author (copes
-    with trailing "(talk)" links and pings). ``start``/``end`` delimit the
-    timestamp match.
+    with trailing "(talk)" links and pings). ``end`` is where the timestamp
+    match ends.
+
+    A user link admits no bracket after its opening ``[[``, so links never
+    overlap or nest: the last link on the line is the one at the rightmost
+    ``[[`` where the link pattern matches. The scan walks ``[[`` positions
+    leftwards from the timestamp and stops at the first match.
     """
-    for ts_match in _TIMESTAMP_RE.finditer(text):
-        line_start = text.rfind("\n", 0, ts_match.start()) + 1
-        line_prefix = text[line_start : ts_match.start()]
-        user = None
-        for link in _USER_LINK_RE.finditer(line_prefix):
-            user = canonical_username(link.group(1))
+    this_year = datetime.now(timezone.utc).year
+    for ts_match in _timestamp_matches(text):
+        ts_start = ts_match.start()
+        line_start = text.rfind("\n", 0, ts_start) + 1
+        link = None
+        pos = text.rfind("[[", line_start, ts_start)
+        while pos >= 0:
+            link = _USER_LINK_RE.match(text, pos, ts_start)
+            if link:
+                break
+            pos = text.rfind("[[", line_start, pos + 1)
+        if link is None:
+            continue
+        user = canonical_username(link.group(1))
         if not user:
             continue
-        ts = _parse_timestamp(ts_match)
-        if ts is None:
+        hour, minute, day, month_name, year = ts_match.groups()
+        year, month, day = int(year), _MONTHS[month_name], int(day)
+        try:
+            ts = datetime(year, month, day, int(hour), int(minute), tzinfo=timezone.utc)
+        except ValueError:
             continue
-        yield Signature(user=user, timestamp=ts), ts_match.start(), ts_match.end()
+        if year > this_year or (year, month, day) < _EARLIEST_PLAUSIBLE:
+            log.warning("timestamp outside plausible range kept: %s", ts.isoformat())
+        yield user, ts, ts_match.end()
 
 
 def parse_signature(segment: str) -> Optional[Signature]:
     """Return the first signature in ``segment``, or None if there is none."""
-    for sig, _, _ in _iter_signatures(segment):
-        return sig
+    for user, timestamp, _ in _iter_signatures(segment):
+        return Signature(user=user, timestamp=timestamp)
     return None
 
 
@@ -194,11 +221,17 @@ def split_threads(page: TalkPage) -> list[DiscussionThread]:
     return threads
 
 
-def _first_content_line(segment: str) -> str:
+def _first_content_line(text: str, start: int, end: int) -> str:
     # Blank lines and subsection headings are structure, not post content.
-    for line in segment.split("\n"):
-        if line.strip() and not line.lstrip().startswith("="):
+    while start < end:
+        stop = text.find("\n", start, end)
+        if stop < 0:
+            stop = end
+        line = text[start:stop]
+        content = line.lstrip()
+        if content and not content.startswith("="):
             return line
+        start = stop + 1
     return ""
 
 
@@ -211,21 +244,13 @@ def extract_posts(body: str) -> list[Post]:
     """
     posts: list[Post] = []
     cursor = 0
-    for sig, _, sig_end in _iter_signatures(body):
-        segment = body[cursor:sig_end]
-        first = _first_content_line(segment)
-        depth_match = _DEPTH_RE.match(first)
-        depth = len(depth_match.group(0)) if depth_match else 0
-        content_start = first[depth:].lstrip()
+    for author, timestamp, end in _iter_signatures(body):
+        first = _first_content_line(body, cursor, end)
+        content = first.lstrip(":*")
         posts.append(
-            Post(
-                author=sig.user,
-                timestamp=sig.timestamp,
-                depth=depth,
-                is_template_message=content_start.startswith("{{"),
-            )
+            Post(author, timestamp, len(first) - len(content), content.lstrip().startswith("{{"))
         )
-        cursor = sig_end
+        cursor = end
     return posts
 
 
@@ -241,7 +266,10 @@ def is_mass_message(
     messages signed by a person (warnings, barnstars, welcomes) are not mass
     messages.
     """
-    agents = {canonical_username(a) for a in delivery_agents}
+    return _is_mass_message(thread, {canonical_username(a) for a in delivery_agents}, markers)
+
+
+def _is_mass_message(thread: DiscussionThread, agents: set[str], markers: Sequence[str]) -> bool:
     if any(p.author in agents for p in thread.posts):
         return True
     return any(marker in thread.body for marker in markers)
@@ -253,10 +281,11 @@ def parse_talk_page(
     markers: Sequence[str] = DEFAULT_MASS_MESSAGE_MARKERS,
 ) -> list[DiscussionThread]:
     """Fully parse a talk page: threads, posts, and mass-message flags."""
+    agents = {canonical_username(a) for a in delivery_agents}
     threads = split_threads(page)
     for thread in threads:
         thread.posts = extract_posts(thread.body)
-        thread.is_mass_message = is_mass_message(thread, delivery_agents, markers)
+        thread.is_mass_message = _is_mass_message(thread, agents, markers)
     return threads
 
 
@@ -281,22 +310,29 @@ def extract_project_members(project_pages: Iterable[tuple[str, str]]) -> set[str
     for title, wikitext in project_pages:
         if _is_talk_title(title):
             raise ValueError(f"talk page passed to member extraction: {title!r}")
-        for sig, _, _ in _iter_signatures(wikitext):
-            members.add(sig.user)
+        for author, _, _ in _iter_signatures(wikitext):
+            members.add(author)
     return members
 
 
 def posts_to_records(page: TalkPage, threads: Iterable[DiscussionThread]) -> list[dict]:
-    """Flatten parsed threads into JSON-ready post records."""
+    """Flatten parsed threads into JSON-ready post records.
+
+    Timestamps read ``YYYY-MM-DDTHH:MM:SSZ``, except that years below 1000
+    are not zero-padded (``999-01-02T03:04:00Z``), as glibc's ``strftime``
+    wrote them.
+    """
     records = []
     for thread in threads:
         for post in thread.posts:
+            ts = post.timestamp
             records.append(
                 {
                     "page_owner": page.owner,
                     "thread": thread.heading,
                     "author": post.author,
-                    "timestamp": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                    "timestamp": "%d-%02d-%02dT%02d:%02d:%02dZ"
+                    % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second),
                     "depth": post.depth,
                     "mass_message": thread.is_mass_message,
                 }
@@ -308,7 +344,7 @@ def write_posts_jsonl(records: Iterable[dict], out: IO[str]) -> int:
     """Write post records as JSON lines; returns the number written."""
     n = 0
     for record in records:
-        out.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        out.write(_RECORD_ENCODER.encode(record) + "\n")
         n += 1
     return n
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately coded on a different route than the library:
 graph metrics from explicit per-node dictionaries and a hand-looped entropy,
-networks from a rescan of every post per project,
+networks from a rescan of every post per project, talk-page posts from the
+first parser (a regex scan of each line prefix, ``datetime`` plus
+``strftime`` per post, one ``json.dumps`` per record),
 OLS through numpy's LAPACK-backed inverse of the normal equations, and the
 incomplete beta from its hypergeometric power series instead of the
 continued fraction.
@@ -10,7 +12,10 @@ continued fraction.
 
 from __future__ import annotations
 
+import json
 import math
+import re
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -78,6 +83,104 @@ def direct_networks(posts, members_by_project, require_both_members=True):
                 nodes.update(key)
         networks[project] = (nodes, edges)
     return networks
+
+
+_REF_HEADING_RE = re.compile(r"^==([^=\n][^\n]*?)==[ \t]*$", re.MULTILINE)
+_REF_USER_LINK_RE = re.compile(
+    r"\[\[\s*[Uu]ser(?:[ _][Tt]alk)?\s*:\s*([^|\[\]#/]+?)\s*(?:[|#/][^\[\]]*)?\]\]",
+    re.IGNORECASE,
+)
+_REF_MONTHS = {
+    name: i
+    for i, name in enumerate(
+        (
+            "January", "February", "March", "April", "May", "June",
+            "July", "August", "September", "October", "November", "December",
+        ),
+        start=1,
+    )
+}
+_REF_TIMESTAMP_RE = re.compile(
+    r"(\d{1,2}):(\d{2}),\s*(\d{1,2})\s+"
+    r"(January|February|March|April|May|June|July|August|September|October|November|December)"
+    r"\s+(\d{4})\s+\(UTC\)"
+)
+_REF_DEPTH_RE = re.compile(r"^[:*]+")
+
+
+def _ref_canonical(raw: str) -> str:
+    name = " ".join(raw.replace("_", " ").split())
+    return name[0].upper() + name[1:] if name else ""
+
+
+def _ref_signatures(text: str):
+    """(author, datetime, end) per signature: every link in the line prefix, last wins."""
+    for ts_match in _REF_TIMESTAMP_RE.finditer(text):
+        line_start = text.rfind("\n", 0, ts_match.start()) + 1
+        user = None
+        for link in _REF_USER_LINK_RE.finditer(text[line_start : ts_match.start()]):
+            user = _ref_canonical(link.group(1))
+        if not user:
+            continue
+        try:
+            ts = datetime(
+                int(ts_match.group(5)), _REF_MONTHS[ts_match.group(4)],
+                int(ts_match.group(3)), int(ts_match.group(1)), int(ts_match.group(2)),
+                tzinfo=timezone.utc,
+            )
+        except ValueError:
+            continue
+        yield user, ts, ts_match.end()
+
+
+def _ref_posts(body: str):
+    """(author, datetime, depth) per post of one thread body."""
+    posts = []
+    cursor = 0
+    for user, ts, end in _ref_signatures(body):
+        first = ""
+        for line in body[cursor:end].split("\n"):
+            if line.strip() and not line.lstrip().startswith("="):
+                first = line
+                break
+        depth_match = _REF_DEPTH_RE.match(first)
+        posts.append((user, ts, len(depth_match.group(0)) if depth_match else 0))
+        cursor = end
+    return posts
+
+
+def reference_posts_jsonl(title: str, wikitext: str, delivery_agents, markers) -> str:
+    """The ``posts.jsonl`` lines of one user talk page, as the first parser wrote them."""
+    owner = _ref_canonical(re.match(r"[Uu]ser[ _][Tt]alk:(.+)$", title).group(1).split("/", 1)[0])
+    matches = list(_REF_HEADING_RE.finditer(wikitext))
+    sections = []
+    preamble = wikitext[: matches[0].start()] if matches else wikitext
+    if preamble.strip():
+        sections.append(("", preamble))
+    for i, m in enumerate(matches):
+        end = matches[i + 1].start() if i + 1 < len(matches) else len(wikitext)
+        sections.append((m.group(1).strip(), wikitext[m.end() : end]))
+    lines = []
+    for heading, body in sections:
+        posts = _ref_posts(body)
+        agents = {_ref_canonical(a) for a in delivery_agents}
+        mass = any(user in agents for user, _, _ in posts) or any(m in body for m in markers)
+        for user, ts, depth in posts:
+            record = {
+                "page_owner": owner,
+                "thread": heading,
+                "author": user,
+                "timestamp": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                "depth": depth,
+                "mass_message": mass,
+            }
+            lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def reference_project_members(pages) -> set[str]:
+    """Signature authors over whole project pages, heading lines included."""
+    return {user for _, text in pages for user, _, _ in _ref_signatures(text)}
 
 
 def ols_normal_equations(x: np.ndarray, y: np.ndarray):

@@ -1,10 +1,13 @@
 import io
+import logging
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicomm.config import PipelineConfig
+from wikicomm.pipeline import stage_quality
 from wikicomm.quality import (
     AssessmentRecord,
     Grade,
@@ -151,3 +154,48 @@ class TestCsv:
     def test_missing_columns(self):
         with pytest.raises(ValueError):
             read_assessments_csv(io.StringIO("a,b\n1,2\n"))
+
+    def test_columns_in_any_order_with_extra_columns(self):
+        source = io.StringIO(
+            "grade,source,article,project\n"
+            "fa,bot,Hurricane A,Storms\n"
+            "Start,,Talk:Hurricane A,Storms\n"
+        )
+        assert read_assessments_csv(source) == [rec("Hurricane A", "FA", "Storms")]
+
+    def test_repeated_column_reads_last_occurrence(self):
+        source = io.StringIO("project,article,grade,grade\nStorms,A,Start,GA\n")
+        assert read_assessments_csv(source) == [rec("A", "GA", "Storms")]
+
+    def test_blank_lines_skipped(self):
+        source = io.StringIO("project,article,grade\n\nStorms,A,FA\n\n\nStorms,B,C\n")
+        assert read_assessments_csv(source) == [rec("A", "FA", "Storms"), rec("B", "C", "Storms")]
+
+    def test_row_missing_a_required_column(self):
+        source = io.StringIO("project,article,grade\nStorms,A,FA\nStorms,B\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_assessments_csv(source)
+
+    def test_empty_file(self):
+        with pytest.raises(ValueError):
+            read_assessments_csv(io.StringIO(""))
+
+
+def test_unusable_project_name_warns_once_per_row(tmp_path, caplog):
+    # Each raw spelling is normalized once; every row with an unusable one
+    # still gets its own warning.
+    (tmp_path / "assessments.csv").write_text(
+        "project,article,grade\n"
+        "Wikipedia:,A,FA\n"
+        "Storms,A,FA\n"
+        "Wikipedia:,B,GA\n"
+        "WikiProject Storms,B,Start\n"
+        "Wikipedia:,C,B\n",
+        encoding="utf-8",
+    )
+    config = PipelineConfig(output_dir=str(tmp_path), projects=["Storms"])
+    with caplog.at_level(logging.WARNING, logger="wikicomm.pipeline"):
+        counts = stage_quality(config)
+    unusable = [m for m in caplog.messages if "unusable project name" in m]
+    assert unusable == ["assessment with unusable project name skipped: 'Wikipedia:'"] * 3
+    assert counts == {"Storms": (2, 1)}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikicomm.special import f_cdf, log_beta, regularized_incomplete_beta, t_cdf
+from wikicomm.special import f_cdf, f_sf, log_beta, regularized_incomplete_beta, t_cdf, t_sf
 
 from oracles import betainc_series
 
@@ -129,6 +129,50 @@ class TestTCdf:
     def test_invalid(self):
         with pytest.raises(ValueError):
             t_cdf(1.0, 0)
+
+
+class TestUpperTails:
+    # (F, df1, df2) and (t, df) from the tail of the paper's scale (N about 1000)
+    # out to tails far below the 1e-16 that 1 - cdf can resolve.
+    F_CASES = [(2.5, 5, 991), (8.0, 5, 991), (59.66, 5, 991), (25.0, 1, 992), (150.0, 3, 500)]
+    T_CASES = [(2.0, 30), (6.0, 10), (12.0, 991), (30.0, 50)]
+
+    def test_f_tail_relative_accuracy_against_series_oracle(self):
+        for x, df1, df2 in self.F_CASES:
+            expected = betainc_series(df2 / 2, df1 / 2, df2 / (df1 * x + df2))
+            assert f_sf(x, df1, df2) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_t_tail_relative_accuracy_against_series_oracle(self):
+        for x, df in self.T_CASES:
+            expected = 0.5 * betainc_series(df / 2, 0.5, df / (df + x * x))
+            assert t_sf(x, df) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_tails_where_one_minus_cdf_cancels_to_zero(self):
+        assert 1.0 - f_cdf(59.66, 5, 991) == 0.0
+        assert 2.0 * (1.0 - t_cdf(12.0, 991)) == 0.0
+        assert f_sf(59.66, 5, 991) == pytest.approx(2.2154823784936656e-54, rel=1e-10)
+        assert 2.0 * t_sf(12.0, 991) == pytest.approx(4.4998417863e-31, rel=1e-10)
+
+    def test_complement_of_cdf_in_the_body(self):
+        for x, df1, df2 in [(0.3, 2, 5), (1.0, 10, 10), (2.5, 5, 991), (0.9, 1, 40)]:
+            assert f_sf(x, df1, df2) + f_cdf(x, df1, df2) == pytest.approx(1.0, abs=1e-12)
+        for x in (-3.0, -0.4, 0.0, 0.4, 3.0):
+            for df in (1, 7, 995):
+                assert t_sf(x, df) == t_cdf(-x, df)
+                assert t_sf(x, df) + t_cdf(x, df) == pytest.approx(1.0, abs=1e-12)
+
+    def test_endpoints(self):
+        assert f_sf(0.0, 3, 7) == 1.0
+        assert f_sf(math.inf, 3, 7) == 0.0
+        assert t_sf(0.0, 7) == 0.5
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            f_sf(-1.0, 2, 2)
+        with pytest.raises(ValueError):
+            f_sf(1.0, 2, 0)
+        with pytest.raises(ValueError):
+            t_sf(1.0, 0)
 
 
 def test_against_scipy_if_available():

@@ -16,7 +16,7 @@ from wikicomm.stats import (
     pearson_r,
 )
 
-from oracles import ks_statistic_uniform, ols_normal_equations
+from oracles import betainc_series, ks_statistic_uniform, ols_normal_equations
 
 
 class TestDescriptives:
@@ -210,6 +210,48 @@ class TestNestedFTest:
         rejection = sum(p < 0.05 for p in p_values) / reps
         assert 0.03 <= rejection <= 0.07
         assert ks_statistic_uniform(p_values) <= 0.05
+
+
+class TestTailPValues:
+    """At N near 1000 strong effects have p-values far below 1e-16; none may read 0."""
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(97)
+        n = 997
+        x1, x2, x3 = rng.normal(size=(3, n))
+        return {"x1": x1, "x2": x2, "x3": x3, "y": 0.45 * x1 + 0.3 * x3 + rng.normal(size=n)}
+
+    @staticmethod
+    def f_tail(f, df1, df2):
+        return betainc_series(df2 / 2, df1 / 2, df2 / (df1 * f + df2))
+
+    def test_ols_coefficient_and_overall_f(self):
+        fit = ols_fit(self.data(), "y", ["x1", "x2", "x3"])
+        df2 = fit.residual_df
+        t = fit.coefficients["x1"] / fit.standard_errors["x1"]
+        assert 0.0 < fit.p_values["x1"] < 1e-20
+        assert fit.p_values["x1"] == pytest.approx(self.f_tail(t * t, 1, df2), rel=1e-9)
+        assert 0.0 < fit.f_p_value < 1e-20
+        assert fit.f_p_value == pytest.approx(self.f_tail(fit.f_statistic, 3, df2), rel=1e-9)
+
+    def test_nested_and_linear_hypothesis(self):
+        data = self.data()
+        full = ols_fit(data, "y", ["x1", "x2", "x3"])
+        nested = nested_f_test(full, ols_fit(data, "y", ["x2", "x3"]))
+        assert 0.0 < nested.p_value < 1e-20
+        expected = self.f_tail(nested.f_value, 1, nested.df2)
+        assert nested.p_value == pytest.approx(expected, rel=1e-9)
+        single = linear_hypothesis(full, [0.0, 1.0, 0.0, 0.0])
+        assert single.p_value == pytest.approx(full.p_values["x1"], rel=1e-9)
+
+    def test_pearson(self):
+        data = self.data()
+        r, p = pearson_r(data["x1"], data["y"])
+        n = len(data["y"])
+        t2 = r * r * (n - 2) / (1.0 - r * r)
+        assert 0.0 < p < 1e-20
+        assert p == pytest.approx(self.f_tail(t2, 1, n - 2), rel=1e-9)
 
 
 class TestLinearHypothesis:

@@ -1,3 +1,4 @@
+import io
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -7,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicomm.wikitext import (
+    DEFAULT_DELIVERY_AGENTS,
+    DEFAULT_MASS_MESSAGE_MARKERS,
     DiscussionThread,
     Post,
     TalkPage,
     _TIMESTAMP_RE,
+    _timestamp_matches,
     canonical_username,
     extract_posts,
     extract_project_members,
@@ -19,7 +23,10 @@ from wikicomm.wikitext import (
     parse_talk_page,
     posts_to_records,
     split_threads,
+    write_posts_jsonl,
 )
+
+from oracles import reference_posts_jsonl, reference_project_members
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -164,6 +171,40 @@ class TestExtractPosts:
         assert posts[1].depth == 1
 
 
+def page_jsonl(text: str, title: str = "User talk:X") -> str:
+    page = TalkPage.from_page(title, text)
+    out = io.StringIO()
+    write_posts_jsonl(posts_to_records(page, parse_talk_page(page)), out)
+    return out.getvalue()
+
+
+class TestPostRecordEdgeCases:
+    def test_year_below_1000_is_not_zero_padded(self):
+        line = page_jsonl("[[User:A|A]] 03:04, 2 January 0999 (UTC)\n")
+        assert json.loads(line)["timestamp"] == "999-01-02T03:04:00Z"
+
+    def test_non_ascii_author_written_unescaped(self):
+        line = page_jsonl("[[User:łukasz_Ż|Ł]] 10:00, 1 May 2021 (UTC)\n")
+        assert '"author": "Łukasz Ż"' in line
+        assert "\\u" not in line
+
+    def test_signature_in_heading_line_yields_no_post(self):
+        text = "== Hi [[User:A|A]] 10:00, 1 May 2021 (UTC) ==\nunsigned body\n"
+        threads = parse_talk_page(TalkPage.from_page("User talk:X", text))
+        assert [t.heading for t in threads] == ["Hi [[User:A|A]] 10:00, 1 May 2021 (UTC)"]
+        assert threads[0].posts == []
+
+    @pytest.mark.parametrize("invalid", [
+        "10:00, 30 February 2021 (UTC)",
+        "24:00, 1 May 2021 (UTC)",
+        "10:60, 1 May 2021 (UTC)",
+        "10:00, 1 May 0000 (UTC)",
+    ])
+    def test_invalid_date_skipped_later_signature_on_line_kept(self, invalid):
+        posts = extract_posts(f"[[User:A|A]] {invalid} [[User:B|B]] 11:00, 1 May 2021 (UTC)\n")
+        assert [(p.author, p.timestamp) for p in posts] == [("B", utc(2021, 5, 1, 11, 0))]
+
+
 class TestMassMessage:
     def thread(self, body, authors):
         t = DiscussionThread(heading="T", body=body)
@@ -288,3 +329,72 @@ def test_parser_never_raises_on_arbitrary_wikitext(text):
     page = TalkPage.from_page("User talk:X", text)
     for thread in parse_talk_page(page):
         assert isinstance(thread.heading, str)
+
+
+# -- the fast scan against the reference parser --------------------------------
+
+MONTHS = ["January", "February", "May", "December"]
+NAMES = ["Ann", "bo_b", "Łukasz", "Zoë  Ng", "李小龍", "_", "MediaWiki message delivery"]
+LINK_FORMS = [
+    "[[User:{n}|{n}]]", "[[user:{n}]]", "[[User_talk:{n}|talk]]", "[[User talk:{n}]]",
+    "[[[User:{n}]]", "[[ USER : {n} # top ]]", "[[User:{n}/Sandbox|s]]",
+    "[[Special:Contributions/{n}|contribs]]", "[[Main Page]]", "[[User:{n}",
+]
+links = st.builds(
+    lambda form, name: form.format(n=name), st.sampled_from(LINK_FORMS), st.sampled_from(NAMES)
+)
+# Valid, invalid (24:00, 10:60, 30 February, day 0, year 0000) and
+# implausible (0999, 2099) dates; \s* and \s+ may span a newline.
+timestamps = st.builds(
+    "{}:{},{}{}{}{}{}{}{}(UTC)".format,
+    st.sampled_from(["0", "9", "09", "23", "24", "123"]),
+    st.sampled_from(["00", "59", "60"]),
+    st.sampled_from(["", " ", "\n"]),
+    st.sampled_from(["0", "1", "15", "29", "30", "31"]),
+    st.sampled_from([" ", "\n", " \t "]),
+    st.sampled_from(MONTHS),
+    st.sampled_from([" ", "\n"]),
+    st.sampled_from(["0999", "2000", "2001", "2021", "2099", "0000"]),
+    st.sampled_from([" ", "\n"]),
+)
+plain_signatures = st.builds(
+    "[[User:{}|x]] {}".format,
+    st.sampled_from(NAMES[:5]),
+    st.sampled_from(["10:00, 1 May 2021 (UTC)", "09:05, 29 February 2020 (UTC)"]),
+)
+line_starts = st.sampled_from(
+    ["\n", "\n: ", "\n:* ", "\n{{barnstar}} ", "\n=== sub ===\n", "\n=== sub ===\n\n:: "]
+)
+pieces = st.one_of(
+    links,
+    timestamps,
+    st.builds("{} {}".format, links, timestamps),
+    st.builds("{} ping {} {}".format, links, links, timestamps),
+    st.builds("{}{}".format, line_starts, plain_signatures),
+    st.sampled_from([
+        "\n", "\n\n", "== Thread ==\n", "==x==", ": ", "* ", "prose ",
+        "== [[User:Ann|Ann]] 10:00, 1 May 2021 (UTC) ==\n",
+        "<!-- Message sent by User:Coordinator@enwiki -->",
+    ]),
+    st.text(alphabet="[]:=|\n ,0123456789UTC()Mayuser", max_size=12),
+)
+wikitexts = st.lists(pieces, max_size=14).map("".join)
+
+
+@given(wikitexts)
+@settings(max_examples=400, deadline=None)
+def test_fast_scan_matches_reference_parser(text):
+    title = "User talk:Zoë_Ng/Archive"
+    assert page_jsonl(text, title) == reference_posts_jsonl(
+        title, text, DEFAULT_DELIVERY_AGENTS, DEFAULT_MASS_MESSAGE_MARKERS
+    )
+    pages = [("Wikipedia:WikiProject X/Members", text)]
+    assert extract_project_members(pages) == reference_project_members(pages)
+
+
+@given(wikitexts)
+@settings(max_examples=300, deadline=None)
+def test_anchored_timestamp_scan_matches_plain_finditer(text):
+    assert [m.span() for m in _timestamp_matches(text)] == [
+        m.span() for m in _TIMESTAMP_RE.finditer(text)
+    ]
