@@ -8,13 +8,17 @@ halts the run with the stage name; everything already fetched stays cached.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
 import json
 import logging
 import math
-from collections import defaultdict
+import os
+from collections import defaultdict, deque
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .client import MediaWikiClient
@@ -162,43 +166,153 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
 
 # -- parse ------------------------------------------------------------------
 
+# Characters of page-dump lines per parse task: enough work per task that
+# pickling and the round trip to a worker stay small next to the parse, few
+# enough that the chunks in flight hold little memory. A chunk ends with the
+# line that takes it to this size.
+PARSE_CHUNK_CHARS = 1 << 20
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path: Path) -> Iterator[IO[str]]:
+    """A text file that becomes ``path`` only when the block completes.
+
+    Until then ``path`` keeps its old bytes, so a stage that fails midway
+    never leaves a truncated output for a later stage to trust.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _parse_pool() -> Iterator[Callable]:
+    """An order-preserving ``map`` over one worker per CPU this process may use.
+
+    With one CPU it is the builtin ``map``: the work stays in this process,
+    where it can be profiled and hooked. A worker that dies (say, killed for
+    memory) fails the stage with ``BrokenProcessPool`` instead of hanging it.
+    """
+    n_cpus = len(os.sched_getaffinity(0))
+    if n_cpus == 1:
+        yield map
+        return
+    # Imported here: the process-pool modules would add milliseconds to
+    # every ``import wikicomm``.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Fork, because "spawn" re-runs the caller's main module in every
+    # worker, which breaks scripts without a ``__main__`` guard. The
+    # executor forks all workers at its first submit, before it starts any
+    # thread, and the pipeline starts none of its own.
+    executor = ProcessPoolExecutor(n_cpus, mp_context=multiprocessing.get_context("fork"))
+
+    def ordered_map(fn: Callable, items: Iterable) -> Iterator:
+        # Two tasks per worker in flight: each worker has its next task
+        # queued while this process writes results, and at most that many
+        # chunks are held in memory.
+        pending: deque = deque()
+        for item in items:
+            pending.append(executor.submit(fn, item))
+            if len(pending) == 2 * n_cpus:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    try:
+        yield ordered_map
+    finally:
+        executor.shutdown(cancel_futures=True)
+
+
+def _line_chunks(source: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(number of the first line, lines)`` per run of about ``PARSE_CHUNK_CHARS``."""
+    lineno = 1
+    lines: list[str] = []
+    size = 0
+    for line in source:
+        lines.append(line)
+        size += len(line)
+        if size >= PARSE_CHUNK_CHARS:
+            yield lineno, lines
+            lineno += len(lines)
+            lines = []
+            size = 0
+    if lines:
+        yield lineno, lines
+
+
+def _project_members_chunk(chunk: tuple[int, list[str]]) -> dict[str, set[str]]:
+    """The members found on a chunk of ``project_pages.jsonl`` lines, per project."""
+    first_lineno, lines = chunk
+    pages_by_project: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    for record in read_pages_jsonl(lines, start=first_lineno):
+        pages_by_project[record["project"]].append((record["title"], record["wikitext"]))
+    return {
+        project: extract_project_members(pages) for project, pages in pages_by_project.items()
+    }
+
+
+def _parse_talk_chunk(
+    delivery_agents: Sequence[str], markers: Sequence[str], chunk: tuple[int, list[str]]
+) -> tuple[str, int, int, list[str]]:
+    """Parse a chunk of ``talk_pages.jsonl`` lines.
+
+    Returns the chunk's posts as JSONL text, its page and post counts, and
+    why each skipped record was skipped.
+    """
+    first_lineno, lines = chunk
+    text = io.StringIO()
+    n_pages = n_posts = 0
+    skipped = []
+    for record in read_pages_jsonl(lines, start=first_lineno):
+        try:
+            page = TalkPage.from_page(record["title"], record["wikitext"])
+        except ValueError as exc:
+            skipped.append(str(exc))
+            continue
+        threads = parse_talk_page(page, delivery_agents=delivery_agents, markers=markers)
+        n_posts += write_posts_jsonl(posts_to_records(page, threads), text)
+        n_pages += 1
+    return text.getvalue(), n_pages, n_posts, skipped
+
 
 def stage_parse(config: PipelineConfig) -> dict:
-    """Parse fetched wikitext into member sets and flattened post records."""
+    """Parse fetched wikitext into member sets and flattened post records.
+
+    The parsing runs on every CPU in the process's affinity mask; the outputs
+    are written in input order, so they do not depend on the CPU count.
+    """
     out = _out(config)
-
-    pages_by_project: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    with open(out / "project_pages.jsonl", encoding="utf-8") as f:
-        for record in read_pages_jsonl(f):
-            pages_by_project[record["project"]].append(
-                (record["title"], record["wikitext"])
-            )
-    members = {
-        project: sorted(extract_project_members(pages))
-        for project, pages in pages_by_project.items()
-    }
-    _write_text(out / "members.json", json.dumps(members, indent=2, sort_keys=True) + "\n")
-
+    parse_chunk = functools.partial(
+        _parse_talk_chunk, config.delivery_agents, config.mass_message_markers
+    )
+    members: dict[str, set[str]] = defaultdict(set)
     n_posts = 0
     n_pages = 0
     skipped = 0
-    with open(out / "talk_pages.jsonl", encoding="utf-8") as f_in, open(
-        out / "posts.jsonl", "w", encoding="utf-8"
-    ) as f_out:
-        for record in read_pages_jsonl(f_in):
-            try:
-                page = TalkPage.from_page(record["title"], record["wikitext"])
-            except ValueError as exc:
-                skipped += 1
-                log.warning("skipping non-user-talk record: %s", exc)
-                continue
-            threads = parse_talk_page(
-                page,
-                delivery_agents=config.delivery_agents,
-                markers=config.mass_message_markers,
-            )
-            n_posts += write_posts_jsonl(posts_to_records(page, threads), f_out)
-            n_pages += 1
+    with _parse_pool() as ordered_map, _replaced_on_success(
+        out / "members.json"
+    ) as f_members, _replaced_on_success(out / "posts.jsonl") as f_posts:
+        with open(out / "project_pages.jsonl", encoding="utf-8") as f_in:
+            for found in ordered_map(_project_members_chunk, _line_chunks(f_in)):
+                for project, names in found.items():
+                    members[project] |= names
+        sorted_members = {project: sorted(names) for project, names in members.items()}
+        f_members.write(json.dumps(sorted_members, indent=2, sort_keys=True) + "\n")
+        with open(out / "talk_pages.jsonl", encoding="utf-8") as f_in:
+            for text, pages, posts, reasons in ordered_map(parse_chunk, _line_chunks(f_in)):
+                f_posts.write(text)
+                n_pages += pages
+                n_posts += posts
+                skipped += len(reasons)
+                for reason in reasons:
+                    log.warning("skipping non-user-talk record: %s", reason)
     log.info("parse: %d pages -> %d posts (%d records skipped)", n_pages, n_posts, skipped)
     return {"pages": n_pages, "posts": n_posts, "skipped": skipped}
 

@@ -56,7 +56,7 @@ _GRADE_RANK = {Grade.FA: 2, Grade.GA: 1, Grade.OTHER: 0}
 _QUALITY_GRADES = (Grade.FA, Grade.GA)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssessmentRecord:
     """One article assessment within one project's scope."""
 

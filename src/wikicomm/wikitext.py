@@ -349,13 +349,20 @@ def write_posts_jsonl(records: Iterable[dict], out: IO[str]) -> int:
     return n
 
 
-def read_pages_jsonl(source: IO[str]) -> Iterator[dict]:
-    """Read page dumps: one JSON object per line with ``title`` and ``wikitext``."""
-    for lineno, line in enumerate(source, start=1):
+def read_pages_jsonl(source: Iterable[str], start: int = 1) -> Iterator[dict]:
+    """Read page dumps: one JSON object per line with ``title`` and ``wikitext``.
+
+    ``start`` is the number of the first line, so that errors in a slice of a
+    file name the line's number in the whole file.
+    """
+    for lineno, line in enumerate(source, start=start):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
         if "title" not in obj or "wikitext" not in obj:
             raise ValueError(f"line {lineno}: page record needs title and wikitext")
         yield obj

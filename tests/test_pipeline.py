@@ -1,11 +1,17 @@
 import csv
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+import wikicomm.pipeline as pipeline
 from wikicomm.client import MediaWikiClient
 from wikicomm.config import ConfigError, PipelineConfig
 from wikicomm.pipeline import (
@@ -16,6 +22,7 @@ from wikicomm.pipeline import (
 )
 
 from fakes import RoutingSession
+from oracles import reference_posts_jsonl, reference_project_members
 
 MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
 GOLDEN = MINIWIKI / "golden"
@@ -166,6 +173,179 @@ class TestGoldenRun:
         config = miniwiki_config(tmp_path)
         with pytest.raises(ConfigError):
             run_stage("launch", config)
+
+
+# -- parse on one CPU and on a worker pool -----------------------------------
+
+POOLED = {0, 1}  # two CPUs: the parse runs on a pool of two worker processes
+IN_PROCESS = {0}  # one CPU: the parse runs in this process
+ROUTES = pytest.mark.parametrize("cpus", [POOLED, IN_PROCESS], ids=["pooled", "in_process"])
+
+
+def parse_on(cpus, config, monkeypatch) -> dict:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    return run_stage("parse", config)
+
+
+def parse_outputs(config) -> tuple[bytes, bytes]:
+    out = Path(config.output_dir)
+    return (out / "posts.jsonl").read_bytes(), (out / "members.json").read_bytes()
+
+
+def write_jsonl(path: Path, records) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for record in records:
+            f.write("\n" if record is None else json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def seed_multichunk_workdir(config, monkeypatch) -> list:
+    """The mini-wiki with its pages repeated as archive subpages, in chunks of 4096 characters.
+
+    ``talk_pages.jsonl`` spans several chunks, ends with a partial one, and
+    holds a blank line and a non-ASCII page. ``project_pages.jsonl`` lists
+    every project's subpages after all main pages, so a project's members
+    come from more than one chunk. Returns the talk-page records (None for
+    the blank line).
+    """
+    monkeypatch.setattr(pipeline, "PARSE_CHUNK_CHARS", 4096)
+    out = seed_workdir(config)
+    project_pages = load_jsonl(MINIWIKI / "project_pages.jsonl")
+    write_jsonl(out / "project_pages.jsonl", sorted(project_pages, key=lambda r: "/" in r["title"]))
+    talk = load_jsonl(MINIWIKI / "talk_pages.jsonl")
+    records = [
+        {"title": f"{r['title']}/Archive {k}", "wikitext": r["wikitext"]} if k else r
+        for k in range(4)
+        for r in talk
+    ]
+    records.insert(len(records) // 3, None)
+    records.insert(len(records) // 2, {
+        "title": "User talk:Zoë",
+        "wikitext": "== Grüße ==\nDanke! [[User:Ωmega|Ωmega]] 10:00, 1 May 2021 (UTC)\n",
+    })
+    write_jsonl(out / "talk_pages.jsonl", records)
+    with open(out / "talk_pages.jsonl", encoding="utf-8") as f:
+        chunks = [len("".join(lines)) for _, lines in pipeline._line_chunks(f)]
+    assert len(chunks) >= 4 and chunks[-1] < 4096
+    return records
+
+
+class TestParallelParse:
+    def test_routes_write_identical_bytes_on_miniwiki(self, tmp_path, monkeypatch):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        pooled = parse_on(POOLED, config, monkeypatch), parse_outputs(config)
+        in_process = parse_on(IN_PROCESS, config, monkeypatch), parse_outputs(config)
+        assert pooled == in_process
+        assert pooled[0] == {"pages": 93, "posts": in_process[1][0].count(b"\n"), "skipped": 0}
+
+    def test_routes_write_identical_bytes_across_chunks(self, tmp_path, monkeypatch):
+        config = miniwiki_config(tmp_path)
+        records = seed_multichunk_workdir(config, monkeypatch)
+        pooled = parse_on(POOLED, config, monkeypatch), parse_outputs(config)
+        in_process = parse_on(IN_PROCESS, config, monkeypatch), parse_outputs(config)
+        assert pooled == in_process
+        # Chunks are written in input order: the oracle parses page by page.
+        expected = "".join(
+            reference_posts_jsonl(
+                r["title"], r["wikitext"], config.delivery_agents, config.mass_message_markers
+            )
+            for r in records
+            if r is not None
+        )
+        posts, members = pooled[1]
+        assert posts.decode("utf-8") == expected
+        pages_by_project: dict = {}
+        for r in load_jsonl(MINIWIKI / "project_pages.jsonl"):
+            pages_by_project.setdefault(r["project"], []).append((r["title"], r["wikitext"]))
+        assert json.loads(members) == {
+            project: sorted(reference_project_members(pages))
+            for project, pages in pages_by_project.items()
+        }
+        assert pooled[0] == {"pages": 4 * 93 + 1, "posts": expected.count("\n"), "skipped": 0}
+
+    @ROUTES
+    def test_malformed_line_fails_parse_and_keeps_previous_outputs(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        config = miniwiki_config(tmp_path)
+        seed_multichunk_workdir(config, monkeypatch)
+        parse_on(cpus, config, monkeypatch)
+        before = parse_outputs(config)
+        out = Path(config.output_dir)
+        lines = (out / "talk_pages.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        middle = len(lines) // 2
+        lines[middle] = lines[middle][: len(lines[middle]) // 2] + "\n"
+        (out / "talk_pages.jsonl").write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(PipelineStageError, match=rf"'parse'.*line {middle + 1}:"):
+            parse_on(cpus, config, monkeypatch)
+        assert parse_outputs(config) == before
+        assert sorted(out.glob("*.tmp")) == []
+
+    def test_dead_worker_fails_parse_instead_of_hanging(self, tmp_path, monkeypatch):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        parse_on(POOLED, config, monkeypatch)
+        before = parse_outputs(config)
+        # Workers fork from this process, so they inherit the patch.
+        monkeypatch.setattr(pipeline, "parse_talk_page", lambda *a, **k: os._exit(9))
+
+        def hung(signum, frame):
+            raise TimeoutError("parse still waiting on a dead worker after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(PipelineStageError, match="parse") as excinfo:
+                parse_on(POOLED, config, monkeypatch)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert isinstance(excinfo.value.cause, BrokenProcessPool)
+        assert parse_outputs(config) == before
+        assert sorted(Path(config.output_dir).glob("*.tmp")) == []
+
+    @ROUTES
+    def test_skipped_record_is_logged_once_by_this_process(
+        self, tmp_path, monkeypatch, caplog, cpus
+    ):
+        config = miniwiki_config(tmp_path)
+        out = seed_workdir(config)
+        records = load_jsonl(MINIWIKI / "talk_pages.jsonl")
+        records.insert(40, {
+            "title": "Talk:Asters",
+            "wikitext": "== Hi ==\nSigned [[User:Aster01]] 10:00, 1 May 2021 (UTC)\n",
+        })
+        write_jsonl(out / "talk_pages.jsonl", records)
+        with caplog.at_level("WARNING", logger="wikicomm.pipeline"):
+            result = parse_on(cpus, config, monkeypatch)
+        assert result["skipped"] == 1 and result["pages"] == 93
+        skips = [m for m in caplog.messages if "skipping non-user-talk record" in m]
+        assert skips == ["skipping non-user-talk record: not a user talk page title: 'Talk:Asters'"]
+
+    def test_one_cpu_parses_in_this_process(self, tmp_path, monkeypatch):
+        # Profilers and the benchmark's hooks see the parser only on this route.
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        calls = []
+        parse = pipeline.parse_talk_page
+        monkeypatch.setattr(
+            pipeline, "parse_talk_page", lambda *a, **k: calls.append(1) or parse(*a, **k)
+        )
+        parse_on(POOLED, config, monkeypatch)
+        assert calls == []
+        parse_on(IN_PROCESS, config, monkeypatch)
+        assert len(calls) == 93
+
+    def test_importing_wikicomm_loads_no_process_pool(self):
+        code = (
+            "import sys, wikicomm.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 # -- full run against a mocked API -------------------------------------------

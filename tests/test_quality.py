@@ -24,6 +24,14 @@ def rec(article: str, grade: str, project: str = "P") -> AssessmentRecord:
     return AssessmentRecord(project=project, article=article, grade=Grade.parse(grade))
 
 
+def test_assessment_records_are_slotted_and_frozen():
+    # The quality stage holds two records per assessment row at once.
+    record = rec("X", "FA")
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.grade = Grade.GA
+
+
 class TestGradeParse:
     @pytest.mark.parametrize("raw,expected", [
         ("FA", Grade.FA), ("fa", Grade.FA), (" Ga ", Grade.GA),

@@ -22,6 +22,7 @@ from wikicomm.wikitext import (
     parse_signature,
     parse_talk_page,
     posts_to_records,
+    read_pages_jsonl,
     split_threads,
     write_posts_jsonl,
 )
@@ -203,6 +204,20 @@ class TestPostRecordEdgeCases:
     def test_invalid_date_skipped_later_signature_on_line_kept(self, invalid):
         posts = extract_posts(f"[[User:A|A]] {invalid} [[User:B|B]] 11:00, 1 May 2021 (UTC)\n")
         assert [(p.author, p.timestamp) for p in posts] == [("B", utc(2021, 5, 1, 11, 0))]
+
+
+class TestReadPagesJsonl:
+    def test_errors_name_the_line_in_the_whole_file(self):
+        good = '{"title": "User talk:A", "wikitext": ""}\n'
+        lines = [good, "\n", '{"title": "User talk:B", "wikit', good]
+        with pytest.raises(ValueError, match="^line 43: "):
+            list(read_pages_jsonl(lines, start=41))
+        with pytest.raises(ValueError, match="^line 12: page record needs"):
+            list(read_pages_jsonl([good, '{"title": "User talk:C"}\n'], start=11))
+
+    def test_blank_lines_skipped(self):
+        lines = ["\n", '{"title": "User talk:A", "wikitext": "x"}\n', "  \n"]
+        assert list(read_pages_jsonl(lines)) == [{"title": "User talk:A", "wikitext": "x"}]
 
 
 class TestMassMessage:
