@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .graph import StructureMetrics, WeightedGraph, effective_information
 from .network import ProjectRecord, build_networks, filter_projects, project_record
-from .quality import AssessmentRecord, Grade, QualityScore, count_quality, q_score
+from .quality import Grade, q_score
 from .stats import (
     DataMatrix,
     FTestResult,
@@ -52,9 +52,6 @@ __all__ = [
     "project_record",
     "filter_projects",
     "Grade",
-    "AssessmentRecord",
-    "QualityScore",
-    "count_quality",
     "q_score",
     "DataMatrix",
     "OlsFit",

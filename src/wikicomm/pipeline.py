@@ -31,15 +31,7 @@ from .network import (
     project_record,
     write_project_summary,
 )
-from .quality import (
-    AssessmentRecord,
-    Grade,
-    count_quality,
-    dedupe_assessments,
-    q_score,
-    read_assessments_csv,
-    write_quality_csv,
-)
+from .quality import GRADE_RANK, Grade, q_score, read_assessments_csv, write_quality_csv
 from .report import (
     REFERENCE_SNAPSHOT_ANCHORS,
     f_test_to_dict,
@@ -182,7 +174,7 @@ def _replaced_on_success(path: Path) -> Iterator[IO[str]]:
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -368,50 +360,53 @@ def stage_build(config: PipelineConfig) -> list[ProjectRecord]:
 
 
 def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
-    """Compute N_Q and Q_p per configured project from the assessment dump."""
+    """Compute N_Q and Q_p per configured project from the assessment dump.
+
+    One pass over the rows keeps, per project, the best grade rank of each
+    article; the per-project counts come from that dict alone.
+    """
     out = _out(config)
     wanted = set(config.canonical_projects())
-    with open(out / "assessments.csv", encoding="utf-8") as f:
-        raw_records = read_assessments_csv(f)
-
     # Rows far outnumber the distinct raw spellings of project names, so each
     # spelling is normalized once; None marks an unusable name.
     names: dict[str, Optional[str]] = {}
-    normalized = []
-    for record in raw_records:
-        raw = record.project
-        if raw in names:
-            project = names[raw]
-        else:
-            try:
-                project = normalize_project_name(raw, config.project_aliases)
-            except ConfigError:
-                project = None
-            names[raw] = project
-        if project is None:
-            log.warning("assessment with unusable project name skipped: %r", raw)
-            continue
-        if wanted and project not in wanted:
-            continue
-        normalized.append(AssessmentRecord(project, record.article, record.grade))
+    best: dict[str, dict[str, int]] = defaultdict(dict)
+    with open(out / "assessments.csv", encoding="utf-8") as f:
+        for raw, article, grade in read_assessments_csv(f):
+            if raw in names:
+                project = names[raw]
+            else:
+                try:
+                    project = normalize_project_name(raw, config.project_aliases)
+                except ConfigError:
+                    project = None
+                names[raw] = project
+            if project is None:
+                log.warning("assessment with unusable project name skipped: %r", raw)
+                continue
+            if wanted and project not in wanted:
+                continue
+            rank = GRADE_RANK[grade]
+            articles = best[project]
+            if articles.get(article, -1) < rank:
+                articles[article] = rank
 
-    by_project: dict[str, list[AssessmentRecord]] = defaultdict(list)
-    for record in dedupe_assessments(normalized):
-        by_project[record.project].append(record)
-
+    fa, ga = GRADE_RANK[Grade.FA], GRADE_RANK[Grade.GA]
     counts = {}
     rows = []
     fa_counts = []
     ga_counts = []
-    fa, ga = Grade.FA, Grade.GA
-    for project in sorted(by_project):
-        records = by_project[project]
-        n_articles, n_quality = count_quality(records)
+    for project in sorted(best):
+        ranks = list(best[project].values())
+        n_fa, n_ga = ranks.count(fa), ranks.count(ga)
+        n_articles, n_quality = len(ranks), n_fa + n_ga
         counts[project] = (n_articles, n_quality)
-        rows.append((project, q_score(n_quality, n_articles, config.p_exponent)))
-        fa_counts.append(sum(1 for r in records if r.grade is fa))
-        ga_counts.append(sum(1 for r in records if r.grade is ga))
-    with open(out / "quality.csv", "w", encoding="utf-8", newline="") as f:
+        rows.append(
+            (project, n_articles, n_quality, q_score(n_quality, n_articles, config.p_exponent))
+        )
+        fa_counts.append(n_fa)
+        ga_counts.append(n_ga)
+    with _replaced_on_success(out / "quality.csv") as f:
         write_quality_csv(rows, f)
 
     # FA and GA counts are combined into one quality measure downstream; the
@@ -425,9 +420,8 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
         summary["fa_ga_pearson_r"] = None
         summary["fa_ga_p_value"] = None
         summary["note"] = f"correlation undefined: {exc}"
-    _write_text(
-        out / "quality_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    with _replaced_on_success(out / "quality_summary.json") as f:
+        f.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     log.info("quality: %d projects scored", len(rows))
     return counts
 

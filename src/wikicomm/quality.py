@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Iterator
 
 __all__ = [
     "Grade",
-    "AssessmentRecord",
-    "QualityScore",
-    "dedupe_assessments",
-    "count_quality",
+    "GRADE_RANK",
     "q_score",
     "read_assessments_csv",
     "write_quality_csv",
@@ -51,29 +46,8 @@ class Grade(enum.Enum):
         return cls.OTHER
 
 
-_GRADE_RANK = {Grade.FA: 2, Grade.GA: 1, Grade.OTHER: 0}
-# Looked up once: on Python 3.11 every ``Grade.FA`` runs a descriptor.
-_QUALITY_GRADES = (Grade.FA, Grade.GA)
-
-
-@dataclass(frozen=True, slots=True)
-class AssessmentRecord:
-    """One article assessment within one project's scope."""
-
-    project: str
-    article: str
-    grade: Grade
-
-
-@dataclass(frozen=True)
-class QualityScore:
-    """Quality-page count and its scope-normalized Q_p value for one project."""
-
-    n_articles: int
-    n_quality: int
-    p: float
-    score: float
-    log_score: Optional[float]
+# A (project, article) assessed several times counts once, at its highest rank.
+GRADE_RANK = {Grade.FA: 2, Grade.GA: 1, Grade.OTHER: 0}
 
 
 def is_main_namespace(title: str) -> bool:
@@ -84,40 +58,8 @@ def is_main_namespace(title: str) -> bool:
     return ns.strip().replace("_", " ").lower() not in _NON_MAIN_NAMESPACES
 
 
-def dedupe_assessments(records: Iterable[AssessmentRecord]) -> list[AssessmentRecord]:
-    """One record per (project, article), keeping the highest grade (FA > GA > Other)."""
-    best: dict[tuple[str, str], AssessmentRecord] = {}
-    for record in records:
-        key = (record.project, record.article)
-        kept = best.get(key)
-        if kept is None or _GRADE_RANK[record.grade] > _GRADE_RANK[kept.grade]:
-            best[key] = record
-    return list(best.values())
-
-
-def count_quality(records: Iterable[AssessmentRecord]) -> tuple[int, int]:
-    """(articles in scope, FA+GA count) for one project's deduplicated records.
-
-    Raises:
-        ValueError: on zero articles (scope undefined) or mixed projects.
-    """
-    articles = 0
-    quality = 0
-    projects = set()
-    for record in records:
-        projects.add(record.project)
-        articles += 1
-        if record.grade in _QUALITY_GRADES:
-            quality += 1
-    if len(projects) > 1:
-        raise ValueError(f"records span multiple projects: {sorted(projects)}")
-    if articles == 0:
-        raise ValueError("no assessed articles: project scope undefined")
-    return articles, quality
-
-
-def q_score(n_quality: int, n_articles: int, p: float = 0.5) -> QualityScore:
-    """Q_p = n_quality / n_articles**p; the log score is defined when positive.
+def q_score(n_quality: int, n_articles: int, p: float = 0.5) -> float:
+    """Q_p = n_quality / n_articles**p.
 
     Raises:
         ValueError: if p is outside [0, 1] or n_articles < 1 or counts are
@@ -129,23 +71,17 @@ def q_score(n_quality: int, n_articles: int, p: float = 0.5) -> QualityScore:
         raise ValueError(f"n_articles must be >= 1, got {n_articles}")
     if not 0 <= n_quality <= n_articles:
         raise ValueError(f"need 0 <= n_quality <= n_articles, got {n_quality}/{n_articles}")
-    score = n_quality / n_articles**p
-    return QualityScore(
-        n_articles=n_articles,
-        n_quality=n_quality,
-        p=p,
-        score=score,
-        log_score=math.log(score) if n_quality >= 1 else None,
-    )
+    return n_quality / n_articles**p
 
 
-def read_assessments_csv(source: IO[str]) -> list[AssessmentRecord]:
-    """Read ``project,article,grade`` rows; grades are case-insensitive.
+def read_assessments_csv(source: IO[str]) -> Iterator[tuple[str, str, Grade]]:
+    """Stream ``(project, article, grade)`` from ``project,article,grade`` rows.
 
-    Titles with a recognized non-main namespace prefix are skipped (project
-    scope covers encyclopedia articles only); titles without namespace
-    information pass through. The columns may come in any order and among
-    others; blank lines are skipped.
+    Grades are case-insensitive. Titles with a recognized non-main namespace
+    prefix are skipped (project scope covers encyclopedia articles only);
+    titles without namespace information pass through. The columns may come
+    in any order and among others; blank lines are skipped. The header is
+    checked by this call, the rows as they are read.
 
     Raises:
         ValueError: if a required column is missing from the header or a row.
@@ -157,9 +93,13 @@ def read_assessments_csv(source: IO[str]) -> list[AssessmentRecord]:
         raise ValueError(f"assessments CSV must have columns {sorted(required)}")
     # A repeated column name reads its last occurrence, as DictReader did.
     column = {name: i for i, name in enumerate(header)}
-    project_at, article_at, grade_at = (column[name] for name in required)
+    return _assessment_rows(reader, *(column[name] for name in required))
+
+
+def _assessment_rows(
+    reader, project_at: int, article_at: int, grade_at: int
+) -> Iterator[tuple[str, str, Grade]]:
     grades: dict[str, Grade] = {}
-    records = []
     for row in reader:
         if not row:
             continue
@@ -174,15 +114,12 @@ def read_assessments_csv(source: IO[str]) -> list[AssessmentRecord]:
         grade = grades.get(raw_grade)
         if grade is None:
             grade = grades[raw_grade] = Grade.parse(raw_grade)
-        records.append(AssessmentRecord(project, article, grade))
-    return records
+        yield project, article, grade
 
 
-def write_quality_csv(rows: Iterable[tuple[str, QualityScore]], out: IO[str]) -> None:
-    """Write the per-project quality CSV."""
+def write_quality_csv(rows: Iterable[tuple[str, int, int, float]], out: IO[str]) -> None:
+    """Write the per-project quality CSV from ``(project, n_articles, n_quality, Q_p)``."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["project", "n_articles", "n_quality", "q_score"])
-    for project, score in rows:
-        writer.writerow(
-            [project, score.n_articles, score.n_quality, f"{score.score:.6f}"]
-        )
+    for project, n_articles, n_quality, score in rows:
+        writer.writerow([project, n_articles, n_quality, f"{score:.6f}"])

@@ -147,13 +147,6 @@ class DataMatrix:
                     ) from exc
         return cls(columns)
 
-    def to_csv(self, out: IO[str], float_format: str = "%.12g") -> None:
-        writer = csv.writer(out, lineterminator="\n")
-        names = list(self._columns)
-        writer.writerow(names)
-        for i in range(self._n):
-            writer.writerow([float_format % self._columns[name][i] for name in names])
-
 
 @dataclass(frozen=True)
 class FTestResult:

@@ -5,9 +5,10 @@ graph metrics from explicit per-node dictionaries and a hand-looped entropy,
 networks from a rescan of every post per project, talk-page posts from the
 first parser (a regex scan of each line prefix, ``datetime`` plus
 ``strftime`` per post, one ``json.dumps`` per record),
-OLS through numpy's LAPACK-backed inverse of the normal equations, and the
+OLS through numpy's LAPACK-backed inverse of the normal equations, the
 incomplete beta from its hypergeometric power series instead of the
-continued fraction.
+continued fraction, and quality counts from a list of assessment records
+deduplicated and then counted one project at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import namedtuple
 from datetime import datetime, timezone
 
 import numpy as np
@@ -244,3 +246,43 @@ def ks_statistic_uniform(sample) -> float:
     for i, value in enumerate(ordered):
         d = max(d, abs((i + 1) / n - value), abs(value - i / n))
     return d
+
+
+# One assessment row; ``grade`` is a ``wikicomm.quality.Grade``, ordered here
+# by its value rather than by the library's rank table.
+Assessment = namedtuple("Assessment", "project article grade")
+_GRADE_ORDER = ("Other", "GA", "FA")
+
+
+def dedupe_assessments(records) -> list:
+    """One record per (project, article), keeping the highest grade (FA > GA > Other)."""
+    best = {}
+    for record in records:
+        key = (record.project, record.article)
+        kept = best.get(key)
+        if kept is None or _GRADE_ORDER.index(record.grade.value) > _GRADE_ORDER.index(
+            kept.grade.value
+        ):
+            best[key] = record
+    return list(best.values())
+
+
+def count_quality(records) -> tuple[int, int]:
+    """(articles in scope, FA+GA count) for one project's deduplicated records.
+
+    Raises:
+        ValueError: on zero articles (scope undefined) or mixed projects.
+    """
+    articles = 0
+    quality = 0
+    projects = set()
+    for record in records:
+        projects.add(record.project)
+        articles += 1
+        if record.grade.value in ("FA", "GA"):
+            quality += 1
+    if len(projects) > 1:
+        raise ValueError(f"records span multiple projects: {sorted(projects)}")
+    if articles == 0:
+        raise ValueError("no assessed articles: project scope undefined")
+    return articles, quality

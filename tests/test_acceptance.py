@@ -132,7 +132,7 @@ def test_quality_score_family():
         for _ in range(1000):
             n_articles = rng.randint(2, 50_000)
             n_quality = rng.randint(1, n_articles)
-            values = [q_score(n_quality, n_articles, p).score for p in grid]
+            values = [q_score(n_quality, n_articles, p) for p in grid]
             assert all(a > b for a, b in zip(values, values[1:]))
             assert abs(values[0] - n_quality) <= 1e-12 * n_quality
             assert abs(values[3] - n_quality / math.sqrt(n_articles)) <= 1e-12
