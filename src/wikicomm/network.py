@@ -1,14 +1,15 @@
-"""Aggregation of parsed posts into per-project communication networks.
+"""Aggregation of interaction counts into per-project communication networks.
 
 A post by editor A on the talk page of editor B counts as one undirected
 interaction A–B when both are members of the project under construction and
-A is not B. Mass-message threads must be filtered out upstream.
+A is not B. The input is ``(A, B, count)`` triples, as the parse stage
+writes them to ``interactions.tsv``; mass-message threads are filtered out
+there, before the posts are counted.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -36,33 +37,44 @@ class ProjectRecord:
 
 
 def build_networks(
-    pairs: Iterable[tuple[str, str]],
+    interactions: Iterable[tuple[str, str, int]],
     members_by_project: Mapping[str, Iterable[str]],
     require_both_members: bool = True,
 ) -> dict[str, WeightedGraph]:
-    """Each project's network from one pass over ``(author, page_owner)`` post pairs.
+    """Each project's network from one pass over ``(author, page_owner, count)`` triples.
 
-    Self-posts never count. Every member is a node of its project's network,
-    isolated when it exchanged no counted message. With
+    A triple stands for ``count`` posts; repeated pairs, in either
+    direction, add up. Self-posts never count. Every member is a node of its
+    project's network, isolated when it exchanged no counted message. With
     ``require_both_members`` (the default) an interaction counts only when
     both endpoints are members; the alternative keeps interactions with at
     least one member endpoint, in which case the network is no longer a
     subgraph of the member set.
 
-    The pairs are counted once into a per-user neighbour index, so the cost
+    The counts are summed once into a per-user neighbour index, so the cost
     of a project scales with its members' degrees, not with the corpus.
     """
-    neighbours: dict[str, Counter[str]] = defaultdict(Counter)
-    for author, owner in pairs:
-        if author != owner:
-            neighbours[author][owner] += 1
-            neighbours[owner][author] += 1
+    neighbours: dict[str, dict[str, int]] = {}
+    for author, owner, count in interactions:
+        if author == owner:
+            continue
+        by_author = neighbours.get(author)
+        if by_author is None:
+            by_author = neighbours[author] = {}
+        by_author[owner] = by_author.get(owner, 0) + count
+        by_owner = neighbours.get(owner)
+        if by_owner is None:
+            by_owner = neighbours[owner] = {}
+        by_owner[author] = by_owner.get(author, 0) + count
     networks = {}
     for project, members in members_by_project.items():
         member_set = set(members)
         edges = []
         for u in member_set:
-            for v, w in neighbours.get(u, {}).items():
+            adjacent = neighbours.get(u)
+            if adjacent is None:
+                continue
+            for v, w in adjacent.items():
                 if v in member_set:
                     if u < v:
                         edges.append((u, v, w))

@@ -94,8 +94,31 @@ def _slug(project: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in project)
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path: Path) -> Iterator[IO[str]]:
+    """A text file that becomes ``path`` only when the block completes.
+
+    Until then ``path`` keeps its old bytes, so a stage that fails midway
+    never leaves a truncated output for a later stage to trust.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+    with _replaced_on_success(path) as f:
+        f.write(text)
+
+
+def _write_csv(out: IO[str], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 # -- ingest -----------------------------------------------------------------
@@ -163,22 +186,6 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
 # enough that the chunks in flight hold little memory. A chunk ends with the
 # line that takes it to this size.
 PARSE_CHUNK_CHARS = 1 << 20
-
-
-@contextlib.contextmanager
-def _replaced_on_success(path: Path) -> Iterator[IO[str]]:
-    """A text file that becomes ``path`` only when the block completes.
-
-    Until then ``path`` keeps its old bytes, so a stage that fails midway
-    never leaves a truncated output for a later stage to trust.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 @contextlib.contextmanager
@@ -252,14 +259,18 @@ def _project_members_chunk(chunk: tuple[int, list[str]]) -> dict[str, set[str]]:
 
 def _parse_talk_chunk(
     delivery_agents: Sequence[str], markers: Sequence[str], chunk: tuple[int, list[str]]
-) -> tuple[str, int, int, list[str]]:
+) -> tuple[str, str, int, int, list[str]]:
     """Parse a chunk of ``talk_pages.jsonl`` lines.
 
-    Returns the chunk's posts as JSONL text, its page and post counts, and
-    why each skipped record was skipped.
+    Returns the chunk's posts as JSONL text, its interaction lines, its page
+    and post counts, and why each skipped record was skipped. A page's
+    interaction lines give, per author in order of first appearance, the
+    number of its posts outside mass-message threads; the owner's own posts
+    are not counted.
     """
     first_lineno, lines = chunk
     text = io.StringIO()
+    interactions = []
     n_pages = n_posts = 0
     skipped = []
     for record in read_pages_jsonl(lines, start=first_lineno):
@@ -271,11 +282,19 @@ def _parse_talk_chunk(
         threads = parse_talk_page(page, delivery_agents=delivery_agents, markers=markers)
         n_posts += write_posts_jsonl(posts_to_records(page, threads), text)
         n_pages += 1
-    return text.getvalue(), n_pages, n_posts, skipped
+        owner = page.owner
+        counts: dict[str, int] = {}
+        for thread in threads:
+            if not thread.is_mass_message:
+                for post in thread.posts:
+                    if post.author != owner:
+                        counts[post.author] = counts.get(post.author, 0) + 1
+        interactions.extend(f"{author}\t{owner}\t{n}\n" for author, n in counts.items())
+    return text.getvalue(), "".join(interactions), n_pages, n_posts, skipped
 
 
 def stage_parse(config: PipelineConfig) -> dict:
-    """Parse fetched wikitext into member sets and flattened post records.
+    """Parse fetched wikitext into member sets, post records and interaction counts.
 
     The parsing runs on every CPU in the process's affinity mask; the outputs
     are written in input order, so they do not depend on the CPU count.
@@ -290,7 +309,9 @@ def stage_parse(config: PipelineConfig) -> dict:
     skipped = 0
     with _parse_pool() as ordered_map, _replaced_on_success(
         out / "members.json"
-    ) as f_members, _replaced_on_success(out / "posts.jsonl") as f_posts:
+    ) as f_members, _replaced_on_success(
+        out / "posts.jsonl"
+    ) as f_posts, _replaced_on_success(out / "interactions.tsv") as f_interactions:
         with open(out / "project_pages.jsonl", encoding="utf-8") as f_in:
             for found in ordered_map(_project_members_chunk, _line_chunks(f_in)):
                 for project, names in found.items():
@@ -298,8 +319,11 @@ def stage_parse(config: PipelineConfig) -> dict:
         sorted_members = {project: sorted(names) for project, names in members.items()}
         f_members.write(json.dumps(sorted_members, indent=2, sort_keys=True) + "\n")
         with open(out / "talk_pages.jsonl", encoding="utf-8") as f_in:
-            for text, pages, posts, reasons in ordered_map(parse_chunk, _line_chunks(f_in)):
+            for text, interactions, pages, posts, reasons in ordered_map(
+                parse_chunk, _line_chunks(f_in)
+            ):
                 f_posts.write(text)
+                f_interactions.write(interactions)
                 n_pages += pages
                 n_posts += posts
                 skipped += len(reasons)
@@ -316,26 +340,30 @@ def _read_members(out: Path) -> dict[str, list[str]]:
     return json.loads((out / "members.json").read_text(encoding="utf-8"))
 
 
-def _message_pairs(path: Path) -> Iterator[tuple[str, str]]:
-    """Stream ``(author, page_owner)`` of every post outside a mass-message thread."""
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                post = json.loads(line)
-                if not post["mass_message"]:
-                    yield post["author"], post["page_owner"]
+def _read_interactions(path: Path) -> Iterator[tuple[str, str, int]]:
+    """Stream the ``(author, page_owner, count)`` lines of ``interactions.tsv``."""
+    with open(path, encoding="utf-8", newline="") as f:
+        for lineno, line in enumerate(f, start=1):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise ValueError(f"{path.name} line {lineno}: malformed line {line!r}")
+            yield parts[0], parts[1], int(parts[2])
 
 
 def stage_build(config: PipelineConfig) -> list[ProjectRecord]:
-    """Aggregate posts into per-project networks, edge lists, and the summary CSV."""
+    """Sum interaction counts into per-project networks, edge lists, and the summary CSV."""
     out = _out(config)
+    interactions = out / "interactions.tsv"
+    if not interactions.exists():
+        # Work dirs parsed by older versions have posts.jsonl but not this file.
+        raise FileNotFoundError(f"{interactions} not found; rerun the parse stage")
     members = _read_members(out)
     for project in sorted(members):
         if not members[project]:
             log.warning("project %s has no detected members, skipped", project)
             del members[project]
     networks = build_networks(
-        _message_pairs(out / "posts.jsonl"), members, config.require_both_members
+        _read_interactions(interactions), members, config.require_both_members
     )
 
     networks_dir = out / "networks"
@@ -350,7 +378,7 @@ def stage_build(config: PipelineConfig) -> list[ProjectRecord]:
         with open(networks_dir / f"{slug}.edges", "w", encoding="utf-8") as f:
             write_edge_list(networks[project], f)
         records.append(project_record(project, members[project], networks[project]))
-    with open(out / "projects.csv", "w", encoding="utf-8", newline="") as f:
+    with _replaced_on_success(out / "projects.csv") as f:
         write_project_summary(records, f)
     log.info("build: %d project networks", len(records))
     return records
@@ -480,28 +508,24 @@ def stage_metrics(config: PipelineConfig) -> int:
                 quality_row["q_score"],
             ]
         )
-    with open(out / "variables.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows_out)
-
     summary_vars = ["q_score", "fraction", "det_norm", "deg_norm", "avg_strength", "member_count"]
-    with open(out / "variables_summary.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["variable", "mean", "sd", "median"])
-        if rows_out:
-            column_index = {name: i for i, name in enumerate(header)}
-            for name in summary_vars:
-                values = [float(r[column_index[name]]) for r in rows_out]
-                d = descriptives(values)
-                writer.writerow(
-                    [
-                        name,
-                        f"{d.mean:.6f}",
-                        "" if d.sd is None else f"{d.sd:.6f}",
-                        f"{d.median:.6f}",
-                    ]
-                )
+    summary_rows = []
+    if rows_out:
+        column_index = {name: i for i, name in enumerate(header)}
+        for name in summary_vars:
+            d = descriptives([float(r[column_index[name]]) for r in rows_out])
+            summary_rows.append(
+                [
+                    name,
+                    f"{d.mean:.6f}",
+                    "" if d.sd is None else f"{d.sd:.6f}",
+                    f"{d.median:.6f}",
+                ]
+            )
+    with _replaced_on_success(out / "variables.csv") as f:
+        _write_csv(f, header, rows_out)
+    with _replaced_on_success(out / "variables_summary.csv") as f:
+        _write_csv(f, ["variable", "mean", "sd", "median"], summary_rows)
     return len(kept)
 
 

@@ -16,6 +16,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -68,7 +69,12 @@ _TIMESTAMP_RE = re.compile(
 # to the next occurrence of that literal.
 _MINUTES_RE = re.compile(r":\d\d,")
 _TALK_TITLE_RE = re.compile(r"[Uu]ser[ _][Tt]alk:(.+)$")
-_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+# A post record as ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
+# writes it; the string fields go through the same escaper.
+_POST_LINE = (
+    '{"author": %s, "depth": %d, "mass_message": %s, '
+    '"page_owner": %s, "thread": %s, "timestamp": %s}\n'
+)
 
 # Wikipedia went live in January 2001; signatures dated earlier are suspect.
 _EARLIEST_PLAUSIBLE = (2001, 1, 15)
@@ -341,12 +347,25 @@ def posts_to_records(page: TalkPage, threads: Iterable[DiscussionThread]) -> lis
 
 
 def write_posts_jsonl(records: Iterable[dict], out: IO[str]) -> int:
-    """Write post records as JSON lines; returns the number written."""
-    n = 0
-    for record in records:
-        out.write(_RECORD_ENCODER.encode(record) + "\n")
-        n += 1
-    return n
+    """Write post records as JSON lines; returns the number written.
+
+    Each record has the keys that :func:`posts_to_records` gives it, and its
+    line reads as ``json.dumps(record, ensure_ascii=False, sort_keys=True)``.
+    """
+    lines = [
+        _POST_LINE
+        % (
+            encode_basestring(r["author"]),
+            r["depth"],
+            "true" if r["mass_message"] else "false",
+            encode_basestring(r["page_owner"]),
+            encode_basestring(r["thread"]),
+            encode_basestring(r["timestamp"]),
+        )
+        for r in records
+    ]
+    out.write("".join(lines))
+    return len(lines)
 
 
 def read_pages_jsonl(source: Iterable[str], start: int = 1) -> Iterator[dict]:

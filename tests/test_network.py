@@ -18,43 +18,44 @@ from oracles import direct_networks
 MEMBERS = {"A", "B", "C"}
 
 
-def project_network(posts, members, require_both_members=True) -> WeightedGraph:
+def project_network(interactions, members, require_both_members=True) -> WeightedGraph:
     """One project's network through the multi-project builder."""
-    return build_networks(posts, {"P": members}, require_both_members)["P"]
+    return build_networks(interactions, {"P": members}, require_both_members)["P"]
 
 
 class TestBuildNetwork:
     def test_counts_every_message(self):
-        posts = [("A", "B"), ("A", "B"), ("B", "A")]
+        posts = [("A", "B", 1), ("A", "B", 1), ("B", "A", 1)]
         g = project_network(posts, MEMBERS)
         assert g.weight("A", "B") == 3
 
     def test_self_posts_never_count(self):
-        g = project_network([("A", "A")], MEMBERS)
+        g = project_network([("A", "A", 1)], MEMBERS)
         assert g.edge_count() == 0
 
     def test_non_member_page_owner_excluded(self):
-        g = project_network([("A", "Z")], MEMBERS)
+        g = project_network([("A", "Z", 1)], MEMBERS)
         assert g.edge_count() == 0
         assert "Z" not in g.nodes
 
     def test_non_member_author_excluded(self):
-        g = project_network([("Z", "A")], MEMBERS)
+        g = project_network([("Z", "A", 1)], MEMBERS)
         assert g.edge_count() == 0
 
     def test_switch_keeps_single_member_edges(self):
-        g = project_network([("A", "Z")], MEMBERS, require_both_members=False)
+        g = project_network([("A", "Z", 1)], MEMBERS, require_both_members=False)
         assert g.weight("A", "Z") == 1
 
     def test_total_weight_equals_counted_posts(self):
-        posts = [("A", "B"), ("B", "C"), ("C", "A"), ("A", "Z"), ("A", "A")]
+        posts = [("A", "B", 1), ("B", "C", 1), ("C", "A", 1), ("A", "Z", 1), ("A", "A", 1)]
         g = project_network(posts, MEMBERS)
         assert g.total_weight() == 3
 
 
 @given(
     st.lists(
-        st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF")), max_size=40
+        st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF"), st.just(1)),
+        max_size=40,
     ),
     st.randoms(use_true_random=False),
 )
@@ -68,8 +69,12 @@ def test_post_order_is_irrelevant(posts, rng):
 
 
 @given(
-    st.lists(st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE")), max_size=30),
-    st.lists(st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE")), max_size=10),
+    st.lists(
+        st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE"), st.just(1)), max_size=30
+    ),
+    st.lists(
+        st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE"), st.just(1)), max_size=10
+    ),
 )
 @settings(max_examples=100, deadline=None)
 def test_adding_posts_is_monotone(posts, extra):
@@ -81,10 +86,16 @@ def test_adding_posts_is_monotone(posts, extra):
 
 
 @st.composite
-def posts_and_projects(draw):
+def interactions_and_projects(draw):
     users = "ABCDEFGH"
-    posts = draw(
-        st.lists(st.tuples(st.sampled_from(users), st.sampled_from(users)), max_size=60)
+    # Few users and many draws give repeated pairs, both directions and self-pairs.
+    interactions = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(users), st.sampled_from(users), st.integers(1, 4)
+            ),
+            max_size=60,
+        )
     )
     projects = draw(
         st.dictionaries(
@@ -93,14 +104,16 @@ def posts_and_projects(draw):
             min_size=1,
         )
     )
-    return posts, projects
+    return interactions, projects
 
 
-@given(posts_and_projects(), st.booleans())
+@given(interactions_and_projects(), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_one_pass_builder_matches_per_project_rescan(case, require_both_members):
-    posts, projects = case
-    networks = build_networks(iter(posts), projects, require_both_members)
+    interactions, projects = case
+    networks = build_networks(iter(interactions), projects, require_both_members)
+    # The oracle rescans one (author, owner) post per counted message.
+    posts = [(author, owner) for author, owner, count in interactions for _ in range(count)]
     expected = direct_networks(posts, projects, require_both_members)
     assert set(networks) == set(expected)
     for project, (nodes, edges) in expected.items():
@@ -109,9 +122,16 @@ def test_one_pass_builder_matches_per_project_rescan(case, require_both_members)
         assert {(u, v): w for u, v, w in g.edges()} == edges
 
 
+def test_repeated_pairs_in_both_directions_add_up():
+    interactions = [("A", "B", 2), ("B", "A", 3), ("A", "B", 1), ("A", "A", 5), ("C", "Z", 4)]
+    networks = build_networks(interactions, {"P": MEMBERS, "Q": {"C"}}, False)
+    assert list(networks["P"].edges()) == [("A", "B", 6), ("C", "Z", 4)]
+    assert list(networks["Q"].edges()) == [("C", "Z", 4)]
+
+
 class TestProjectRecord:
     def test_fraction(self):
-        g = project_network([("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")],
+        g = project_network([("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "E", 1)],
                           set("ABCDEFGHIJ"))
         record = project_record("P", set("ABCDEFGHIJ"), g)
         assert record.member_count == 10
@@ -123,7 +143,7 @@ class TestProjectRecord:
         assert record.fraction_in_network == 0.0
 
     def test_fraction_counts_only_members(self):
-        g = project_network([("A", "Z"), ("A", "Y")], MEMBERS, require_both_members=False)
+        g = project_network([("A", "Z", 1), ("A", "Y", 1)], MEMBERS, require_both_members=False)
         record = project_record("P", MEMBERS, g)
         assert record.active_count == 3
         assert record.fraction_in_network == pytest.approx(1 / 3)
@@ -173,7 +193,7 @@ class TestFilterProjects:
 
 def test_summary_csv_format():
     record = project_record(
-        "Storms", {"A", "B", "C", "D"}, project_network([("A", "B")], {"A", "B"})
+        "Storms", {"A", "B", "C", "D"}, project_network([("A", "B", 1)], {"A", "B"})
     )
     out = io.StringIO()
     write_project_summary([record], out)

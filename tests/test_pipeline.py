@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -151,6 +152,56 @@ class TestGoldenRun:
         run_stage("metrics", config)
         assert (out / "variables.csv").read_bytes() == (GOLDEN / "variables.csv").read_bytes()
 
+    def test_failed_summary_write_keeps_previous_projects_csv(self, tmp_path, monkeypatch):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build"]:
+            run_stage(stage, config)
+        out = Path(config.output_dir)
+        before = (out / "projects.csv").read_bytes()
+
+        def write_one_line_then_fail(records, f):
+            f.write("project,member_count,active_nodes,fraction_in_network\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "write_project_summary", write_one_line_then_fail)
+        with pytest.raises(PipelineStageError, match="disk full"):
+            run_stage("build", config)
+        assert (out / "projects.csv").read_bytes() == before
+        assert sorted(out.glob("*.tmp")) == []
+
+    def test_failed_variables_write_keeps_previous_variables_csv(self, tmp_path, monkeypatch):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build", "quality", "metrics"]:
+            run_stage(stage, config)
+        out = Path(config.output_dir)
+        before = (out / "variables.csv").read_bytes()
+        write_csv = pipeline._write_csv
+
+        def fail_midway(f, header, rows):
+            write_csv(f, header, list(rows)[:3])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "_write_csv", fail_midway)
+        with pytest.raises(PipelineStageError, match="disk full"):
+            run_stage("metrics", config)
+        assert (out / "variables.csv").read_bytes() == before
+        assert sorted(out.glob("*.tmp")) == []
+
+    def test_build_on_work_dir_without_interactions_fails_untouched(self, tmp_path):
+        # A work dir parsed by an older version has posts.jsonl but no interactions.tsv.
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build"]:
+            run_stage(stage, config)
+        out = Path(config.output_dir)
+        (out / "interactions.tsv").unlink()
+        before = read_out(config)
+        with pytest.raises(PipelineStageError, match=r"'build'.*interactions\.tsv"):
+            run_stage("build", config)
+        assert read_out(config) == before
+
     def test_quality_summary_reports_fa_ga_correlation(self, tmp_path):
         config = miniwiki_config(tmp_path)
         seed_workdir(config)
@@ -187,9 +238,11 @@ def parse_on(cpus, config, monkeypatch) -> dict:
     return run_stage("parse", config)
 
 
-def parse_outputs(config) -> tuple[bytes, bytes]:
+def parse_outputs(config) -> tuple[bytes, bytes, bytes]:
     out = Path(config.output_dir)
-    return (out / "posts.jsonl").read_bytes(), (out / "members.json").read_bytes()
+    return tuple(
+        (out / name).read_bytes() for name in ("posts.jsonl", "members.json", "interactions.tsv")
+    )
 
 
 def write_jsonl(path: Path, records) -> None:
@@ -252,7 +305,7 @@ class TestParallelParse:
             for r in records
             if r is not None
         )
-        posts, members = pooled[1]
+        posts, members, _ = pooled[1]
         assert posts.decode("utf-8") == expected
         pages_by_project: dict = {}
         for r in load_jsonl(MINIWIKI / "project_pages.jsonl"):
@@ -280,6 +333,59 @@ class TestParallelParse:
             parse_on(cpus, config, monkeypatch)
         assert parse_outputs(config) == before
         assert sorted(out.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("multichunk", [False, True], ids=["miniwiki", "multichunk"])
+    def test_interactions_match_posts_on_every_route_and_chunk_size(
+        self, tmp_path, monkeypatch, multichunk
+    ):
+        config = miniwiki_config(tmp_path)
+        if multichunk:
+            seed_multichunk_workdir(config, monkeypatch)
+        else:
+            seed_workdir(config)
+        outputs = set()
+        for chunk_chars in (4096, 1 << 20):
+            monkeypatch.setattr(pipeline, "PARSE_CHUNK_CHARS", chunk_chars)
+            for cpus in (POOLED, IN_PROCESS):
+                parse_on(cpus, config, monkeypatch)
+                outputs.add(parse_outputs(config))
+        assert len(outputs) == 1
+        [(posts, _, interactions)] = outputs
+        lines = interactions.decode("utf-8").splitlines()
+        summed: Counter = Counter()
+        for line in lines:
+            author, owner, count = line.split("\t")
+            summed[author, owner] += int(count)
+        records = [json.loads(line) for line in posts.decode("utf-8").splitlines()]
+        assert summed == Counter(
+            (r["author"], r["page_owner"])
+            for r in records
+            if not r["mass_message"] and r["author"] != r["page_owner"]
+        )
+        # Lines are per page: an owner's archive pages repeat its pairs.
+        assert (len(lines) > len(summed)) == multichunk
+
+    def test_interaction_lines_per_page_in_order_of_first_post(self):
+        owner_page = (
+            "== Hello ==\n"
+            "Hi [[User:Cal]] 10:00, 1 May 2021 (UTC)\n"
+            ":Thanks [[User:Owner]] 10:05, 1 May 2021 (UTC)\n"
+            "::Me too [[User:Bea]] 10:06, 1 May 2021 (UTC)\n"
+            ":::Again [[User:Cal]] 10:07, 1 May 2021 (UTC)\n"
+            "== News ==\n"
+            "Issue 4 [[User:Dee]] 10:00, 2 May 2021 (UTC)"
+            "<!-- Message sent by User:Dee@enwiki -->\n"
+        )
+        lines = [
+            json.dumps({"title": "User talk:Owner", "wikitext": owner_page}) + "\n",
+            json.dumps({"title": "User talk:Cal", "wikitext": "Hey [[User:Bea]] "
+                        "09:00, 1 May 2021 (UTC)\n"}) + "\n",
+        ]
+        _, interactions, pages, posts, skipped = pipeline._parse_talk_chunk(
+            ["MediaWiki message delivery"], ["Message sent by User:"], (1, lines)
+        )
+        assert (pages, posts, skipped) == (2, 6, [])
+        assert interactions == "Cal\tOwner\t2\nBea\tOwner\t1\nBea\tCal\t1\n"
 
     def test_dead_worker_fails_parse_instead_of_hanging(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)

@@ -413,3 +413,35 @@ def test_anchored_timestamp_scan_matches_plain_finditer(text):
     assert [m.span() for m in _timestamp_matches(text)] == [
         m.span() for m in _TIMESTAMP_RE.finditer(text)
     ]
+
+
+# Characters json.dumps treats specially: quote, backslash, every control
+# character, DEL, the two line separators JavaScript rejects, non-BMP text.
+record_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\x7f", "\u2028", "\u2029", "é", "Ω", "日", "\U0001f600"]),
+        st.characters(max_codepoint=0x1F),
+        st.characters(),
+    ),
+    max_size=20,
+)
+post_records = st.fixed_dictionaries(
+    {
+        "page_owner": record_text,
+        "thread": record_text,
+        "author": record_text,
+        "timestamp": record_text,
+        "depth": st.integers(0, 20),
+        "mass_message": st.booleans(),
+    }
+)
+
+
+@given(st.lists(post_records, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_post_lines_equal_sorted_key_json_dumps(records):
+    out = io.StringIO()
+    assert write_posts_jsonl(records, out) == len(records)
+    assert out.getvalue() == "".join(
+        json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records
+    )
