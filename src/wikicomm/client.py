@@ -4,6 +4,10 @@ All HTTP goes through one throttled code path. Responses are cached on disk
 as raw bytes, content-addressed by the canonical request, so pages fetched
 during a multi-day crawl can be re-parsed after parser fixes without
 refetching; a warm cache also makes every pipeline stage replayable offline.
+Each response is one file, ``<sha256(key)>.entry``: a JSON header line
+holding the key and the fetch instant, then the payload bytes as received.
+Caches written by earlier versions, which kept each response as a
+``<sha256>.body`` and ``<sha256>.meta.json`` pair, are still read.
 The ``session`` constructor argument is the seam tests use to stay offline.
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -51,43 +56,64 @@ class CacheEntry:
 
 
 class ResponseCache:
-    """Content-addressed store of raw response bytes, immutable once written."""
+    """Content-addressed store of raw response bytes, immutable once written.
+
+    An entry is the file ``<sha256(key)>.entry``: one JSON line
+    ``{"fetched_at": ..., "key": ...}`` (sorted keys), ``\n``, then the
+    payload exactly as received. ``put`` writes it to ``<name>.tmp`` and
+    renames it into place, so an interrupted write leaves no entry and a
+    later ``put`` writes it afresh; ``get`` opens it once. Where no
+    ``.entry`` exists, ``get`` falls back to the earlier layout, a
+    ``<sha256>.body`` payload beside its ``<sha256>.meta.json``, which is
+    read but never written; ``put`` leaves an entry in either layout as it
+    is.
+    """
 
     def __init__(self, directory: str | Path) -> None:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
 
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self._dir / f"{digest}.body", self._dir / f"{digest}.meta.json"
+    def _stem(self, key: str) -> str:
+        return os.path.join(self._dir, hashlib.sha256(key.encode("utf-8")).hexdigest())
 
     def get(self, key: str) -> Optional[CacheEntry]:
-        body_path, meta_path = self._paths(key)
-        if not body_path.exists() or not meta_path.exists():
-            return None
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        stem = self._stem(key)
+        try:
+            with open(stem + ".entry", "rb") as f:
+                meta = json.loads(f.readline())
+                payload = f.read()
+        except FileNotFoundError:
+            try:
+                # The layout of earlier versions, whose put renamed the body
+                # into place before the meta: a meta file means a whole body.
+                with open(stem + ".meta.json", "rb") as f:
+                    meta = json.loads(f.read())
+                with open(stem + ".body", "rb") as f:
+                    payload = f.read()
+            except FileNotFoundError:
+                return None
         return CacheEntry(
             key=meta["key"],
             fetched_at=datetime.fromisoformat(meta["fetched_at"]),
-            payload=body_path.read_bytes(),
+            payload=payload,
         )
 
     def put(self, key: str, payload: bytes) -> CacheEntry:
         existing = self.get(key)
         if existing is not None:
             return existing
-        # A missing meta or body (interrupted write) falls through and is rewritten.
-        body_path, meta_path = self._paths(key)
         fetched_at = datetime.now(timezone.utc)
-        tmp_body = body_path.with_suffix(".body.tmp")
-        tmp_body.write_bytes(payload)
-        tmp_body.rename(body_path)
-        tmp_meta = meta_path.with_suffix(".tmp")
-        tmp_meta.write_text(
-            json.dumps({"key": key, "fetched_at": fetched_at.isoformat()}, sort_keys=True),
-            encoding="utf-8",
-        )
-        tmp_meta.rename(meta_path)
+        header = json.dumps({"fetched_at": fetched_at.isoformat(), "key": key}, sort_keys=True)
+        path = self._stem(key) + ".entry"
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(header.encode("ascii") + b"\n")
+                f.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         return CacheEntry(key=key, fetched_at=fetched_at, payload=payload)
 
 
@@ -198,8 +224,10 @@ class MediaWikiClient:
         slots = revision.get("slots")
         if slots:
             return slots.get("main", {}).get("content")
-        # Legacy (formatversion=1) shape.
-        return revision.get("*") or revision.get("content")
+        # Legacy (formatversion=1) shape; a blanked page is ``{"*": ""}``.
+        if "*" in revision:
+            return revision["*"]
+        return revision.get("content")
 
     def fetch_pages(self, titles: Iterable[str], query: dict[str, str]) -> Iterator[dict]:
         """Fetch wikitext for each title; missing pages are logged and skipped."""

@@ -139,8 +139,12 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
         raise ConfigError("config lists no projects; ingest needs an explicit project list")
     client = client or MediaWikiClient(config)
 
+    # The three downloads replace the previous ones together, and only once
+    # every fetch has succeeded: a failed crawl leaves the old set whole.
     members_by_project: dict[str, set[str]] = {}
-    with open(out / "project_pages.jsonl", "w", encoding="utf-8") as f:
+    with _replaced_on_success(out / "project_pages.jsonl") as f_projects, _replaced_on_success(
+        out / "talk_pages.jsonl"
+    ) as f_talk, _replaced_on_success(out / "assessments.csv") as f_assessments:
         for project in projects:
             pages = []
             titles = [
@@ -149,7 +153,7 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
             ]
             for record in client.fetch_pages(titles, config.user_talk_query):
                 pages.append((record["title"], record["wikitext"]))
-                f.write(
+                f_projects.write(
                     json.dumps(
                         {"project": project, **record}, ensure_ascii=False, sort_keys=True
                     )
@@ -157,16 +161,15 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
                 )
             members_by_project[project] = extract_project_members(pages)
 
-    all_members = sorted(set().union(*members_by_project.values()))
-    with open(out / "talk_pages.jsonl", "w", encoding="utf-8") as f:
+        all_members = sorted(set().union(*members_by_project.values()))
         for record in client.fetch_user_talk_pages(all_members):
-            f.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            f_talk.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
-    with open(out / "assessments.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["project", "article", "grade"])
-        for row in client.fetch_assessments():
-            writer.writerow([row["project"], row["article"], row["grade"]])
+        _write_csv(
+            f_assessments,
+            ["project", "article", "grade"],
+            ([row["project"], row["article"], row["grade"]] for row in client.fetch_assessments()),
+        )
 
     fetched = sorted(ts.isoformat() for ts in client.fetched_at)
     manifest = {

@@ -1,8 +1,10 @@
-"""Offline stand-ins for the HTTP session used by the API client tests."""
+"""Offline stand-ins for the HTTP session and cache used by the API client tests."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 
 class FakeClock:
@@ -66,3 +68,15 @@ def page_response(title, wikitext=None, missing=False):
     elif wikitext is not None:
         page["revisions"] = [{"slots": {"main": {"content": wikitext}}}]
     return {"query": {"pages": [page]}}
+
+
+def write_legacy_cache_entry(directory, key, fetched_at, payload):
+    """Cache one response in the two-file layout that earlier versions wrote.
+
+    ``fetched_at`` is the ISO-8601 string the meta file holds.
+    """
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+    (Path(directory) / f"{digest}.body").write_bytes(payload)
+    (Path(directory) / f"{digest}.meta.json").write_text(
+        json.dumps({"key": key, "fetched_at": fetched_at}, sort_keys=True), encoding="utf-8"
+    )

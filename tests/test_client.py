@@ -1,3 +1,9 @@
+import hashlib
+import json
+import os
+from datetime import datetime, timezone
+from pathlib import Path
+
 import pytest
 
 from wikicomm.client import (
@@ -9,7 +15,7 @@ from wikicomm.client import (
 )
 from wikicomm.config import PipelineConfig
 
-from fakes import FakeClock, ScriptSession, page_response
+from fakes import FakeClock, ScriptSession, page_response, write_legacy_cache_entry
 
 
 def make_config(tmp_path, **overrides):
@@ -33,6 +39,51 @@ class TestCache:
         loaded = cache.get("key-1")
         assert loaded.payload == b"payload"
         assert loaded.fetched_at == entry.fetched_at
+
+    def test_entry_is_one_file_of_header_line_and_raw_payload(self, tmp_path):
+        cache = ResponseCache(tmp_path / "c")
+        payload = b"line one\nline two\n\xff\x00"
+        entry = cache.put("key \u00e9\n", payload)
+        digest = hashlib.sha256("key \u00e9\n".encode("utf-8")).hexdigest()
+        assert [p.name for p in (tmp_path / "c").iterdir()] == [f"{digest}.entry"]
+        header, stored = (tmp_path / "c" / f"{digest}.entry").read_bytes().split(b"\n", 1)
+        assert stored == payload
+        assert header.decode("ascii") == json.dumps(
+            {"fetched_at": entry.fetched_at.isoformat(), "key": "key \u00e9\n"}, sort_keys=True
+        )
+        assert cache.get("key \u00e9\n") == entry
+
+    def test_interrupted_put_leaves_no_entry(self, tmp_path, monkeypatch):
+        directory = tmp_path / "c"
+        cache = ResponseCache(directory)
+
+        def fail(src, dst):
+            # The whole entry is written aside; the rename is the commit.
+            assert Path(src).read_bytes().endswith(b"\npayload")
+            assert not Path(dst).exists()
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", fail)
+            with pytest.raises(OSError, match="no space"):
+                cache.put("key", b"payload")
+        assert cache.get("key") is None
+        assert list(directory.iterdir()) == []
+        cache.put("key", b"payload")
+        assert cache.get("key").payload == b"payload"
+        assert [p.suffix for p in directory.iterdir()] == [".entry"]
+
+    def test_legacy_two_file_entry_is_read_and_left_untouched(self, tmp_path):
+        directory = tmp_path / "c"
+        directory.mkdir()
+        write_legacy_cache_entry(directory, "key", "2021-02-01T12:30:00+00:00", b"old\npayload")
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        cache = ResponseCache(directory)
+        entry = cache.get("key")
+        assert entry.payload == b"old\npayload"
+        assert entry.fetched_at == datetime(2021, 2, 1, 12, 30, tzinfo=timezone.utc)
+        assert cache.put("key", b"new") == entry
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
     def test_immutable_once_written(self, tmp_path):
         cache = ResponseCache(tmp_path / "c")
@@ -76,6 +127,16 @@ class TestFetching:
         client, _, _ = make_client(tmp_path, [(200, body)])
         records = list(client.fetch_user_talk_pages(["Old"]))
         assert records == [{"title": "User talk:Old", "wikitext": "legacy"}]
+
+    def test_blank_page_kept_in_both_shapes(self, tmp_path):
+        legacy = {"query": {"pages": {"7": {"title": "User talk:Old", "revisions": [{"*": ""}]}}}}
+        blanked = page_response("User talk:New", "")
+        client, _, _ = make_client(tmp_path, [(200, legacy), (200, blanked)])
+        records = list(client.fetch_user_talk_pages(["Old", "New"]))
+        assert records == [
+            {"title": "User talk:Old", "wikitext": ""},
+            {"title": "User talk:New", "wikitext": ""},
+        ]
 
     def test_throttle_then_success_backs_off(self, tmp_path):
         body = page_response("User talk:A", "x")

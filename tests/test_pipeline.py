@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import wikicomm.pipeline as pipeline
-from wikicomm.client import MediaWikiClient
+from wikicomm.client import FetchExhaustedError, MediaWikiClient, canonical_request
 from wikicomm.config import ConfigError, PipelineConfig
 from wikicomm.pipeline import (
     STAGE_ORDER,
@@ -22,7 +23,7 @@ from wikicomm.pipeline import (
     stage_ingest,
 )
 
-from fakes import RoutingSession
+from fakes import RoutingSession, write_legacy_cache_entry
 from oracles import reference_posts_jsonl, reference_project_members
 
 MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
@@ -541,6 +542,15 @@ class TestMockedIngestRun:
         session = RoutingSession(MiniwikiApi())
         self.run_all(config, session)
         assert len(session.calls) > 0
+        # One file per cached response, and no leftover temporary file.
+        digests = {
+            hashlib.sha256(canonical_request(config.api_base_url, params).encode()).hexdigest()
+            for params in session.calls
+        }
+        assert len(digests) == len(session.calls)
+        assert sorted(p.name for p in Path(config.cache_dir).iterdir()) == sorted(
+            f"{digest}.entry" for digest in digests
+        )
         first = {
             name: (Path(config.output_dir) / name).read_bytes()
             for name in ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv",
@@ -559,3 +569,55 @@ class TestMockedIngestRun:
         assert broken.calls == []
         for name, payload in first.items():
             assert (Path(config.output_dir) / name).read_bytes() == payload
+
+    def test_offline_ingest_replays_a_two_file_cache(self, tmp_path):
+        config = self.make_config(tmp_path)
+        session = RoutingSession(MiniwikiApi())
+        stage_ingest(config, MediaWikiClient(config, session=session, sleep=lambda s: None))
+        ingest_outputs = ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv",
+                          "fetch_manifest.json"]
+        cold = {name: (Path(config.output_dir) / name).read_bytes() for name in ingest_outputs}
+        # Rewrite the whole cache in the layout earlier versions wrote.
+        for path in Path(config.cache_dir).glob("*.entry"):
+            header, payload = path.read_bytes().split(b"\n", 1)
+            meta = json.loads(header)
+            write_legacy_cache_entry(config.cache_dir, meta["key"], meta["fetched_at"], payload)
+            path.unlink()
+        assert not list(Path(config.cache_dir).glob("*.entry"))
+
+        config.output_dir = str(tmp_path / "replay")
+        config.offline = True
+        broken = RoutingSession(lambda params: (_ for _ in ()).throw(AssertionError("network")))
+        stage_ingest(config, MediaWikiClient(config, session=broken))
+        assert broken.calls == []
+        for name, payload in cold.items():
+            assert (Path(config.output_dir) / name).read_bytes() == payload
+        assert not list(Path(config.cache_dir).glob("*.entry"))
+
+    def test_failed_ingest_keeps_previous_downloads(self, tmp_path):
+        config = self.make_config(tmp_path)
+        session = RoutingSession(MiniwikiApi())
+        stage_ingest(config, MediaWikiClient(config, session=session, sleep=lambda s: None))
+        out = Path(config.output_dir)
+        before = read_out(config)
+
+        # A fresh cache, so the second ingest fetches again, and a server that
+        # refuses the third talk page for good.
+        config.cache_dir = str(tmp_path / "cold-cache")
+        config.max_retries = 0
+        api = MiniwikiApi()
+        talk_requests = []
+
+        def refuse_third_talk_page(params):
+            if params.get("titles", "").startswith("User talk:"):
+                talk_requests.append(params["titles"])
+                if len(talk_requests) == 3:
+                    return 429, {}
+            return api(params)
+
+        session = RoutingSession(refuse_third_talk_page)
+        with pytest.raises(FetchExhaustedError):
+            stage_ingest(config, MediaWikiClient(config, session=session, sleep=lambda s: None))
+        assert len(talk_requests) == 3
+        assert read_out(config) == before
+        assert not list(out.glob("*.tmp"))
