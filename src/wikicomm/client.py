@@ -177,6 +177,8 @@ class MediaWikiClient:
         session = self._ensure_session()
         last_error: Optional[str] = None
         for attempt in range(self.config.max_retries + 1):
+            if attempt:
+                self._sleep(self.config.request_interval * 2**attempt)
             self._throttle()
             try:
                 response = session.get(
@@ -187,16 +189,13 @@ class MediaWikiClient:
             except requests.RequestException as exc:
                 last_error = str(exc)
                 log.warning("request failed (attempt %d): %s", attempt + 1, exc)
-                self._sleep(self.config.request_interval * 2 ** (attempt + 1))
                 continue
             if self._is_throttle_response(status, payload):
                 last_error = f"throttled (HTTP {status})"
                 log.info("server throttled request, backing off (attempt %d)", attempt + 1)
-                self._sleep(self.config.request_interval * 2 ** (attempt + 1))
                 continue
             if status != 200:
                 last_error = f"HTTP {status}"
-                self._sleep(self.config.request_interval * 2 ** (attempt + 1))
                 continue
             entry = self.cache.put(key, payload)
             self.fetched_at.append(entry.fetched_at)

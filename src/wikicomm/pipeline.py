@@ -195,11 +195,13 @@ PARSE_CHUNK_CHARS = 1 << 20
 def _parse_pool() -> Iterator[Callable]:
     """An order-preserving ``map`` over one worker per CPU this process may use.
 
-    With one CPU it is the builtin ``map``: the work stays in this process,
-    where it can be profiled and hooked. A worker that dies (say, killed for
-    memory) fails the stage with ``BrokenProcessPool`` instead of hanging it.
+    With one CPU, or on a host without ``os.sched_getaffinity`` (macOS,
+    Windows, which also lacks ``fork``), it is the builtin ``map``: the work
+    stays in this process, where it can be profiled and hooked. A worker that
+    dies (say, killed for memory) fails the stage with ``BrokenProcessPool``
+    instead of hanging it.
     """
-    n_cpus = len(os.sched_getaffinity(0))
+    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if n_cpus == 1:
         yield map
         return

@@ -1,9 +1,9 @@
 """Descriptive statistics, correlation, and OLS regression with F-tests.
 
-The regression path solves the normal equations with a hand-rolled
-diagonally-pivoted Cholesky factorization of XᵀX, which doubles as the rank
-check: a pivot collapse (condition estimate above 1e12) aborts the fit and
-names the offending columns. Standard errors are the conventional
+The regression path takes one thin SVD of the design matrix X and never forms
+XᵀX: β, (XᵀX)⁻¹ and the rank check all come from it. A design whose
+condition estimate cond(X)² exceeds 1e12 aborts the fit and names the
+columns that carry the near-dependency. Standard errors are the conventional
 non-robust σ̂²(XᵀX)⁻¹ diagonal.
 """
 
@@ -196,56 +196,6 @@ class OlsFit:
         )
 
 
-def _pivoted_cholesky_inverse(a: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Invert symmetric positive-definite ``a`` via diagonally pivoted Cholesky.
-
-    Raises:
-        ValueError: if a pivot collapses (rank deficiency) or the pivot ratio
-            exceeds the condition limit, naming the columns still unpivoted.
-    """
-    p = a.shape[0]
-    a = a.astype(float).copy()
-    lower = np.zeros((p, p))
-    order = list(range(p))
-    first_pivot = None
-    for k in range(p):
-        resid = np.array([a[j, j] - lower[j, :k] @ lower[j, :k] for j in range(k, p)])
-        jmax = int(np.argmax(resid)) + k
-        if jmax != k:
-            a[[k, jmax], :] = a[[jmax, k], :]
-            a[:, [k, jmax]] = a[:, [jmax, k]]
-            lower[[k, jmax], :] = lower[[jmax, k], :]
-            order[k], order[jmax] = order[jmax], order[k]
-        d = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if first_pivot is None:
-            first_pivot = d
-        if d <= 0.0 or (first_pivot > 0 and first_pivot / d > _COND_LIMIT):
-            bad = sorted(names[order[j]] for j in range(k, p))
-            estimate = "inf" if d <= 0 else f"{first_pivot / d:.3g}"
-            raise ValueError(
-                "design matrix is rank deficient or ill-conditioned "
-                f"(condition estimate {estimate}); collinear columns: {bad}"
-            )
-        lower[k, k] = math.sqrt(d)
-        for i in range(k + 1, p):
-            lower[i, k] = (a[i, k] - lower[i, :k] @ lower[k, :k]) / lower[k, k]
-    # Solve L Y = I, then Lᵀ Z = Y; undo the pivot permutation on both sides.
-    identity = np.eye(p)
-    y = np.zeros((p, p))
-    for col in range(p):
-        for i in range(p):
-            y[i, col] = (identity[i, col] - lower[i, :i] @ y[:i, col]) / lower[i, i]
-    z = np.zeros((p, p))
-    for col in range(p):
-        for i in range(p - 1, -1, -1):
-            z[i, col] = (y[i, col] - lower[i + 1 :, i] @ z[i + 1 :, col]) / lower[i, i]
-    inverse = np.zeros((p, p))
-    for i in range(p):
-        for j in range(p):
-            inverse[order[i], order[j]] = z[i, j]
-    return inverse
-
-
 def _as_columns(data: Mapping[str, Sequence[float]] | DataMatrix) -> DataMatrix:
     if isinstance(data, DataMatrix):
         return data
@@ -279,10 +229,25 @@ def ols_fit(
     if n < k_plus_1:
         raise ValueError(f"need at least {k_plus_1} rows for {k_plus_1} parameters, got {n}")
 
-    xtx = x.T @ x
-    xty = x.T @ y
-    inverse = _pivoted_cholesky_inverse(xtx, names)
-    beta = inverse @ xty
+    # One SVD, X = U·diag(s)·Vᵀ, gives the rank check, β and (XᵀX)⁻¹ without
+    # forming XᵀX, whose condition number is cond(X)².
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    weak = _COND_LIMIT * s**2 < s[0] ** 2
+    if weak.any():
+        # A column is in the dependency when it carries weight in a weak
+        # right-singular vector v, measured as |v_j|·‖x_j‖ so that the
+        # columns' scales do not matter; rounding leaves about 1e-15 of it
+        # on the columns outside the dependency.
+        weight = np.abs(vt[weak]) * np.linalg.norm(x, axis=0)
+        carried = (weight > 1e-8 * weight.max(axis=1, keepdims=True)).any(axis=0)
+        bad = sorted(names[j] for j in np.flatnonzero(carried))
+        estimate = f"{(s[0] / s[-1]) ** 2:.3g}" if s[-1] > 0 else "inf"
+        raise ValueError(
+            "design matrix is rank deficient or ill-conditioned "
+            f"(condition estimate {estimate}); collinear columns: {bad}"
+        )
+    inverse = (vt.T / s**2) @ vt
+    beta = vt.T @ ((u.T @ y) / s)
 
     residuals = y - x @ beta
     rss = float(residuals @ residuals)
@@ -293,7 +258,7 @@ def ols_fit(
 
     if df2 > 0:
         sigma2 = rss / df2
-        se = np.sqrt(np.maximum(sigma2 * np.diag(inverse), 0.0))
+        se = np.sqrt(sigma2 * np.diag(inverse))
         p_values = {}
         for name, b, s in zip(names, beta, se):
             if s > 0:

@@ -5,7 +5,8 @@ graph metrics from explicit per-node dictionaries and a hand-looped entropy,
 networks from a rescan of every post per project, talk-page posts from the
 first parser (a regex scan of each line prefix, ``datetime`` plus
 ``strftime`` per post, one ``json.dumps`` per record),
-OLS through numpy's LAPACK-backed inverse of the normal equations, the
+OLS through numpy's LAPACK-backed inverse of the normal equations (and,
+exactly, through the same equations in rational arithmetic), the
 incomplete beta from its hypergeometric power series instead of the
 continued fraction, and quality counts from a list of assessment records
 deduplicated and then counted one project at a time.
@@ -18,6 +19,7 @@ import math
 import re
 from collections import namedtuple
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 
@@ -204,6 +206,30 @@ def ols_normal_equations(x: np.ndarray, y: np.ndarray):
     k = p - 1
     f = ((tss - rss) / k) / (rss / df2) if k > 0 and df2 > 0 and rss > 0 else float("nan")
     return beta, se, r2, f, rss
+
+
+def ols_exact(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """OLS coefficients of the given float data, exactly, each rounded once.
+
+    The normal equations are formed and solved by Gauss-Jordan elimination in
+    ``Fraction`` arithmetic, so no rounding happens before the final float.
+    ``x`` must already contain the intercept column and have full rank, so
+    XᵀX is positive definite and needs no pivoting.
+    """
+    rows = [[Fraction(float(v)) for v in row] for row in x]
+    targets = [Fraction(float(v)) for v in y]
+    p = len(rows[0])
+    a = [
+        [sum(r[i] * r[j] for r in rows) for j in range(p)]
+        + [sum(r[i] * t for r, t in zip(rows, targets))]
+        for i in range(p)
+    ]
+    for k in range(p):
+        for i in range(p):
+            if i != k:
+                factor = a[i][k] / a[k][k]
+                a[i] = [u - factor * w for u, w in zip(a[i], a[k])]
+    return [float(a[i][p] / a[i][i]) for i in range(p)]
 
 
 def betainc_series(a: float, b: float, x: float, tol: float = 1e-17) -> float:

@@ -164,6 +164,13 @@ class TestFetching:
             list(client.fetch_user_talk_pages(["A"]))
         assert len(session.calls) == 3
 
+    def test_exhausted_fetch_backs_off_only_between_attempts(self, tmp_path):
+        client, session, fake = make_client(tmp_path, [(429, {})] * 4, max_retries=3)
+        with pytest.raises(FetchExhaustedError):
+            list(client.fetch_user_talk_pages(["A"]))
+        assert len(session.calls) == 4
+        assert fake.sleeps == [2.0, 4.0, 8.0]
+
     def test_offline_miss_fails_and_hit_serves(self, tmp_path):
         body = page_response("User talk:A", "x")
         client, _, _ = make_client(tmp_path, [(200, body)])

@@ -443,6 +443,24 @@ class TestParallelParse:
         parse_on(IN_PROCESS, config, monkeypatch)
         assert len(calls) == 93
 
+    def test_host_without_sched_getaffinity_parses_in_this_process(
+        self, tmp_path, monkeypatch
+    ):
+        # macOS and Windows have no os.sched_getaffinity (and Windows no fork).
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        parse_on(POOLED, config, monkeypatch)
+        pooled = parse_outputs(config)
+        calls = []
+        parse = pipeline.parse_talk_page
+        monkeypatch.setattr(
+            pipeline, "parse_talk_page", lambda *a, **k: calls.append(1) or parse(*a, **k)
+        )
+        monkeypatch.delattr(os, "sched_getaffinity")
+        run_stage("parse", config)
+        assert len(calls) == 93
+        assert parse_outputs(config) == pooled
+
     def test_importing_wikicomm_loads_no_process_pool(self):
         code = (
             "import sys, wikicomm.cli; "

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from wikicomm.stats import (
     pearson_r,
 )
 
-from oracles import betainc_series, ks_statistic_uniform, ols_normal_equations
+from oracles import betainc_series, ks_statistic_uniform, ols_exact, ols_normal_equations
 
 
 class TestDescriptives:
@@ -125,6 +126,21 @@ class TestOlsFit:
         with pytest.raises(ValueError, match="collinear"):
             ols_fit(data, "y", ["x1", "x2"])
 
+    def test_rank_deficiency_names_the_whole_dependency(self):
+        rng = np.random.default_rng(11)
+        x1 = rng.normal(size=30)
+        y = rng.normal(size=30)
+        doubled = {"x1": x1, "x2": 2 * x1, "x3": rng.normal(size=30), "y": y}
+        with pytest.raises(ValueError, match=re.escape("collinear columns: ['x1', 'x2']")):
+            ols_fit(doubled, "y", ["x1", "x2", "x3"])
+        constant = {"x1": x1, "c5": np.full(30, 5.0), "y": y}
+        with pytest.raises(ValueError, match=re.escape("collinear columns: ['c5', 'const']")):
+            ols_fit(constant, "y", ["x1", "c5"])
+        # The columns' units do not decide which of them are named.
+        rescaled = {"x1": x1, "x2": 1e-9 * x1, "y": y}
+        with pytest.raises(ValueError, match=re.escape("collinear columns: ['x1', 'x2']")):
+            ols_fit(rescaled, "y", ["x1", "x2"])
+
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             ols_fit({"x": [1.0, float("nan"), 3.0], "y": [1, 2, 3]}, "y", ["x"])
@@ -146,6 +162,34 @@ class TestOlsFit:
             )
         assert other.r_squared == pytest.approx(base.r_squared, abs=1e-9)
         assert other.f_statistic == pytest.approx(base.f_statistic, rel=1e-9)
+
+
+class TestExactOracle:
+    # Powers of t = 1.000, 1.001, ..., 1.059: nearly collinear columns.
+    T = np.arange(1000, 1060) / 1000
+
+    @classmethod
+    def polynomial(cls, degree):
+        rng = np.random.default_rng(19)
+        columns = {f"t{k}": cls.T**k for k in range(1, degree + 1)}
+        columns["y"] = 1.0 + np.sin(40 * cls.T) + 0.1 * rng.normal(size=60)
+        return columns, [f"t{k}" for k in range(1, degree + 1)]
+
+    def test_quadratic_design_matches_exact_solution(self):
+        # cond(X) is 1.7e4 here, so cond(XᵀX) is 2.8e8: solving the normal
+        # equations in floats loses about eight digits.
+        data, predictors = self.polynomial(2)
+        fit = ols_fit(data, "y", predictors)
+        x = np.column_stack([np.ones(60)] + [data[name] for name in predictors])
+        exact = ols_exact(x, data["y"])
+        for got, want in zip(fit.param_vector(), exact):
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_cubic_design_is_rejected(self):
+        # cond(X) is 2.4e6, so cond(X)² is 5.8e12, past the 1e12 limit.
+        data, predictors = self.polynomial(3)
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            ols_fit(data, "y", predictors)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
