@@ -14,7 +14,8 @@ All three are measured in bits, computed over the n non-isolated nodes
 only, and have a maximum of log2(n), so normalized variants divide by
 log2(n). They are computed in O(E) from the edge list, never from an n×n
 matrix: the entropy of node i's step is log2 s_i − Σ_j w_ij log2 w_ij / s_i,
-and the mean step distribution accumulates w_ij / (n·s_i) per edge.
+and the mean step distribution accumulates w_ij / (n·s_i) per edge. The
+same pass gives the average strength, the mean of s_i over those n nodes.
 """
 
 from __future__ import annotations
@@ -39,17 +40,13 @@ class SelfLoopError(ValueError):
     """Raised when an interaction between a node and itself is recorded."""
 
 
-def _edge_key(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
 class WeightedGraph:
     """Undirected graph over opaque node identifiers with integer edge weights.
 
     Weights count interactions between node pairs and are therefore positive
     integers; an absent pair means weight zero. Self-loops are rejected.
-    Construction (``add_interaction`` / ``add_node``) is single-writer; all
-    other methods are pure reads and safe to call concurrently.
+    A graph is built once, by :meth:`from_edges`, and never changes after;
+    every other method is a pure read and safe to call concurrently.
     """
 
     __slots__ = ("_nodes", "_edges")
@@ -71,32 +68,12 @@ class WeightedGraph:
                 raise SelfLoopError(f"self-loop on node {u!r}")
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"edge weight must be a positive integer, got {w!r}")
-            key = _edge_key(u, v)
+            key = (u, v) if u <= v else (v, u)
             g._edges[key] = g._edges.get(key, 0) + w
             g._nodes.add(u)
             g._nodes.add(v)
-        for n in nodes:
-            g._nodes.add(n)
+        g._nodes.update(nodes)
         return g
-
-    def add_node(self, v: str) -> "WeightedGraph":
-        """Ensure ``v`` is present (possibly isolated)."""
-        self._nodes.add(v)
-        return self
-
-    def add_interaction(self, u: str, v: str) -> "WeightedGraph":
-        """Record one interaction between ``u`` and ``v``, incrementing their weight.
-
-        Raises:
-            SelfLoopError: if ``u == v``.
-        """
-        if u == v:
-            raise SelfLoopError(f"self-loop on node {u!r}")
-        key = _edge_key(u, v)
-        self._edges[key] = self._edges.get(key, 0) + 1
-        self._nodes.add(u)
-        self._nodes.add(v)
-        return self
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -107,47 +84,9 @@ class WeightedGraph:
         for (u, v) in sorted(self._edges):
             yield u, v, self._edges[(u, v)]
 
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    def total_weight(self) -> int:
-        """Sum of all edge weights (one unit per recorded interaction)."""
-        return sum(self._edges.values())
-
-    def weight(self, u: str, v: str) -> int:
-        return self._edges.get(_edge_key(u, v), 0)
-
-    def node_strength(self, v: str) -> int:
-        """Sum of weights of edges incident to ``v``; 0 for an isolated node.
-
-        Raises:
-            KeyError: if ``v`` is not a node of the graph.
-        """
-        if v not in self._nodes:
-            raise KeyError(f"unknown node {v!r}")
-        return sum(w for (a, b), w in self._edges.items() if a == v or b == v)
-
     def active_nodes(self) -> frozenset[str]:
         """Nodes incident to at least one edge."""
-        active: set[str] = set()
-        for (u, v) in self._edges:
-            active.add(u)
-            active.add(v)
-        return frozenset(active)
-
-    def average_strength(self) -> float:
-        """Mean node strength over non-isolated nodes.
-
-        Raises:
-            ValueError: if the graph has no non-isolated node.
-        """
-        strengths: dict[str, int] = {}
-        for (u, v), w in self._edges.items():
-            strengths[u] = strengths.get(u, 0) + w
-            strengths[v] = strengths.get(v, 0) + w
-        if not strengths:
-            raise ValueError("graph has no non-isolated node")
-        return sum(strengths.values()) / len(strengths)
+        return frozenset(node for edge in self._edges for node in edge)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -169,10 +108,12 @@ class StructureMetrics:
     degeneracy_norm: float
     effective_information_norm: float
     active_n: int
+    average_strength: float
 
 
 def effective_information(g: WeightedGraph) -> StructureMetrics:
-    """All six structure metrics of ``g`` (bit values and log2(n)-normalized).
+    """The six walk metrics of ``g`` (bit values and log2(n)-normalized) and its
+    mean node strength, all over the non-isolated nodes.
 
     Raises:
         ValueError: if fewer than 2 nodes are non-isolated.
@@ -213,6 +154,7 @@ def effective_information(g: WeightedGraph) -> StructureMetrics:
         degeneracy_norm=deg / log_n,
         effective_information_norm=ei / log_n,
         active_n=n_active,
+        average_strength=float(strength.mean()),
     )
 
 
@@ -229,7 +171,8 @@ def write_edge_list(g: WeightedGraph, out: IO[str]) -> None:
 
 def read_edge_list(source: IO[str]) -> WeightedGraph:
     """Parse the edge-list format written by :func:`write_edge_list`."""
-    g = WeightedGraph()
+    edges: list[tuple[str, str, int]] = []
+    isolated: list[str] = []
     for lineno, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -242,12 +185,9 @@ def read_edge_list(source: IO[str]) -> WeightedGraph:
                 raise ValueError(f"line {lineno}: edge weight must be >= 1, got {w}")
             if u == v:
                 raise SelfLoopError(f"line {lineno}: self-loop on {u!r}")
-            key = _edge_key(u, v)
-            g._edges[key] = g._edges.get(key, 0) + weight
-            g._nodes.add(u)
-            g._nodes.add(v)
+            edges.append((u, v, weight))
         elif len(parts) == 2 and parts[1] == "0":
-            g._nodes.add(parts[0])
+            isolated.append(parts[0])
         else:
             raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}")
-    return g
+    return WeightedGraph.from_edges(edges, isolated)

@@ -26,10 +26,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProjectRecord:
-    """One Wikiproject: members, its communication network, coverage stats."""
+    """One Wikiproject: its communication network and coverage stats."""
 
     project: str
-    members: frozenset[str]
     network: WeightedGraph
     member_count: int
     active_count: int
@@ -104,7 +103,6 @@ def project_record(
     active = network.active_nodes()
     return ProjectRecord(
         project=project,
-        members=member_set,
         network=network,
         member_count=len(member_set),
         active_count=len(active),

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import shutil
 from collections import defaultdict, deque
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
@@ -108,6 +109,20 @@ def _replaced_on_success(path: Path) -> Iterator[IO[str]]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _dir_replaced_on_success(path: Path) -> Iterator[Path]:
+    """A directory for the block to fill, swapped in for ``path`` once the block completes."""
+    tmp = path.with_name(path.name + ".tmp")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        yield tmp
+        shutil.rmtree(path, ignore_errors=True)
+        os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -371,18 +386,17 @@ def stage_build(config: PipelineConfig) -> list[ProjectRecord]:
         _read_interactions(interactions), members, config.require_both_members
     )
 
-    networks_dir = out / "networks"
-    networks_dir.mkdir(exist_ok=True)
     records = []
     slugs: dict[str, str] = {}
-    for project in sorted(members):
-        slug = _slug(project)
-        if slug in slugs.values():
-            raise ValueError(f"project slug collision for {project!r}")
-        slugs[project] = slug
-        with open(networks_dir / f"{slug}.edges", "w", encoding="utf-8") as f:
-            write_edge_list(networks[project], f)
-        records.append(project_record(project, members[project], networks[project]))
+    with _dir_replaced_on_success(out / "networks") as networks_dir:
+        for project in sorted(members):
+            slug = _slug(project)
+            if slug in slugs.values():
+                raise ValueError(f"project slug collision for {project!r}")
+            slugs[project] = slug
+            with open(networks_dir / f"{slug}.edges", "w", encoding="utf-8") as f:
+                write_edge_list(networks[project], f)
+            records.append(project_record(project, members[project], networks[project]))
     with _replaced_on_success(out / "projects.csv") as f:
         write_project_summary(records, f)
     log.info("build: %d project networks", len(records))
@@ -507,7 +521,7 @@ def stage_metrics(config: PipelineConfig) -> int:
                 f"{metrics.determinism_norm:.6f}",
                 f"{metrics.degeneracy_norm:.6f}",
                 f"{metrics.effective_information_norm:.6f}",
-                f"{record.network.average_strength():.6f}",
+                f"{metrics.average_strength:.6f}",
                 quality_row["n_articles"],
                 quality_row["n_quality"],
                 quality_row["q_score"],
@@ -664,7 +678,7 @@ STAGES = {
     "report": stage_report,
 }
 
-STAGE_ORDER = ["ingest", "parse", "build", "quality", "metrics", "regress", "report"]
+STAGE_ORDER = list(STAGES)
 
 
 def run_stage(name: str, config: PipelineConfig):

@@ -1,10 +1,11 @@
 """Descriptive statistics, correlation, and OLS regression with F-tests.
 
-The regression path takes one thin SVD of the design matrix X and never forms
-XᵀX: β, (XᵀX)⁻¹ and the rank check all come from it. A design whose
-condition estimate cond(X)² exceeds 1e12 aborts the fit and names the
-columns that carry the near-dependency. Standard errors are the conventional
-non-robust σ̂²(XᵀX)⁻¹ diagonal.
+The regression path takes one thin SVD of the design matrix X, its columns
+scaled to unit norm, and never forms XᵀX: β, (XᵀX)⁻¹ and the rank check all
+come from it. A design whose scaled columns have a condition estimate
+cond(X)² above 1e12 aborts the fit and names the columns that carry the
+near-dependency; a column's units do not change the verdict. Standard errors
+are the conventional non-robust σ̂²(XᵀX)⁻¹ diagonal.
 """
 
 from __future__ import annotations
@@ -229,16 +230,18 @@ def ols_fit(
     if n < k_plus_1:
         raise ValueError(f"need at least {k_plus_1} rows for {k_plus_1} parameters, got {n}")
 
-    # One SVD, X = U·diag(s)·Vᵀ, gives the rank check, β and (XᵀX)⁻¹ without
-    # forming XᵀX, whose condition number is cond(X)².
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    # One SVD of the unit-norm columns, X·D⁻¹ = U·diag(s)·Vᵀ (D = column norms,
+    # 1 for a zero column), gives a rank check free of the columns' units, β
+    # and (XᵀX)⁻¹ without forming XᵀX, whose condition number is cond(X)².
+    norms = np.linalg.norm(x, axis=0)
+    norms[norms == 0] = 1.0
+    u, s, vt = np.linalg.svd(x / norms, full_matrices=False)
     weak = _COND_LIMIT * s**2 < s[0] ** 2
     if weak.any():
         # A column is in the dependency when it carries weight in a weak
-        # right-singular vector v, measured as |v_j|·‖x_j‖ so that the
-        # columns' scales do not matter; rounding leaves about 1e-15 of it
-        # on the columns outside the dependency.
-        weight = np.abs(vt[weak]) * np.linalg.norm(x, axis=0)
+        # right-singular vector; rounding leaves about 1e-15 of it on the
+        # columns outside the dependency.
+        weight = np.abs(vt[weak])
         carried = (weight > 1e-8 * weight.max(axis=1, keepdims=True)).any(axis=0)
         bad = sorted(names[j] for j in np.flatnonzero(carried))
         estimate = f"{(s[0] / s[-1]) ** 2:.3g}" if s[-1] > 0 else "inf"
@@ -246,8 +249,8 @@ def ols_fit(
             "design matrix is rank deficient or ill-conditioned "
             f"(condition estimate {estimate}); collinear columns: {bad}"
         )
-    inverse = (vt.T / s**2) @ vt
-    beta = vt.T @ ((u.T @ y) / s)
+    inverse = (vt.T / s**2) @ vt / np.outer(norms, norms)
+    beta = vt.T @ ((u.T @ y) / s) / norms
 
     residuals = y - x @ beta
     rss = float(residuals @ residuals)

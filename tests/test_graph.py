@@ -36,21 +36,23 @@ def complete(n: int) -> WeightedGraph:
     )
 
 
+def weights(g: WeightedGraph) -> dict[tuple[str, str], int]:
+    return {(u, v): w for u, v, w in g.edges()}
+
+
 class TestAddInteraction:
     def test_base_case(self):
-        g = WeightedGraph().add_interaction("a", "b")
-        assert g.weight("a", "b") == 1
+        g = WeightedGraph.from_edges([("a", "b", 1)])
+        assert weights(g) == {("a", "b"): 1}
         assert g.nodes == {"a", "b"}
 
     def test_unordered_key_symmetry(self):
-        g = WeightedGraph.from_edges([("a", "b", 3)])
-        g.add_interaction("b", "a")
-        assert g.weight("a", "b") == 4
-        assert g.weight("b", "a") == 4
+        g = WeightedGraph.from_edges([("a", "b", 3), ("b", "a", 1)])
+        assert weights(g) == {("a", "b"): 4}
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
-            WeightedGraph().add_interaction("a", "a")
+            WeightedGraph.from_edges([("a", "a", 1)])
 
     def test_weights_are_positive_integers(self):
         with pytest.raises(ValueError):
@@ -59,46 +61,26 @@ class TestAddInteraction:
             WeightedGraph.from_edges([("a", "b", 1.5)])
 
 
-class TestNodeStrength:
-    def test_star_hub(self):
-        assert star(4).node_strength("hub") == 3
-
-    def test_star_leaf(self):
-        assert star(4).node_strength("leaf0") == 1
-
-    def test_sum_of_weights(self):
-        g = WeightedGraph.from_edges([("a", "b", 5), ("a", "c", 12)])
-        assert g.node_strength("a") == 17
-
-    def test_isolated_node_is_zero(self):
-        g = star(4).add_node("watcher")
-        assert g.node_strength("watcher") == 0
-
-    def test_unknown_node_errors(self):
-        with pytest.raises(KeyError):
-            star(4).node_strength("nobody")
-
-
 class TestAverageStrength:
     def test_single_edge(self):
         g = WeightedGraph.from_edges([("a", "b", 17)])
-        assert g.average_strength() == 17.0
+        assert effective_information(g).average_strength == 17.0
 
     def test_star(self):
-        assert star(4).average_strength() == pytest.approx(1.5)
+        assert effective_information(star(4)).average_strength == pytest.approx(1.5)
 
     def test_complete_graph_regularity(self):
-        assert complete(4).average_strength() == pytest.approx(3.0)
+        assert effective_information(complete(4)).average_strength == pytest.approx(3.0)
 
     def test_isolated_nodes_excluded(self):
-        g = star(4).add_node("watcher")
-        assert g.average_strength() == pytest.approx(1.5)
+        g = WeightedGraph.from_edges(star(4).edges(), nodes=["watcher"])
+        assert effective_information(g).average_strength == pytest.approx(1.5)
 
     def test_empty_graph_errors(self):
         with pytest.raises(ValueError):
-            WeightedGraph().average_strength()
+            effective_information(WeightedGraph()).average_strength
         with pytest.raises(ValueError):
-            WeightedGraph().add_node("a").average_strength()
+            effective_information(WeightedGraph.from_edges([], nodes=["a"])).average_strength
 
 
 class TestDeterminism:
@@ -119,7 +101,7 @@ class TestDeterminism:
 
     def test_too_few_active_nodes(self):
         with pytest.raises(ValueError):
-            effective_information(WeightedGraph().add_node("a").add_node("b")).determinism_bits
+            effective_information(WeightedGraph.from_edges([], nodes=["a", "b"])).determinism_bits
 
 
 class TestDegeneracy:
@@ -176,8 +158,7 @@ class TestScale:
     ISOLATED = [f"idle{i}" for i in range(100)]
 
     def metrics_and_peak_bytes(self, g: WeightedGraph):
-        for v in self.ISOLATED:
-            g.add_node(v)
+        g = WeightedGraph.from_edges(g.edges(), nodes=self.ISOLATED)
         tracemalloc.start()
         try:
             m = effective_information(g)
@@ -220,7 +201,7 @@ def random_graphs(draw, max_nodes=12, max_weight=10):
 @given(random_graphs())
 @settings(max_examples=150, deadline=None)
 def test_matches_direct_definition_oracle(g):
-    edges = {(u, v): w for u, v, w in g.edges()}
+    edges = weights(g)
     det_expected, deg_expected, n_expected = direct_structure_metrics(edges)
     m = effective_information(g)
     assert m.active_n == n_expected
@@ -321,11 +302,22 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             read_edge_list(io.StringIO("a\tb\t0\n"))
 
+    def test_self_loop_line_is_named(self):
+        with pytest.raises(SelfLoopError, match="^line 2: self-loop on 'c'$"):
+            read_edge_list(io.StringIO("a\tb\t1\nc\tc\t2\n"))
+
+    def test_zero_weight_line_is_named(self):
+        with pytest.raises(ValueError, match="^line 3: edge weight must be >= 1, got 0$"):
+            read_edge_list(io.StringIO("a\tb\t1\n\nc\td\t0\n"))
+
+    def test_blank_line_is_skipped(self):
+        g = read_edge_list(io.StringIO("a\tb\t2\n\nb\ta\t1\nc\t0\n"))
+        assert g == WeightedGraph.from_edges([("a", "b", 3)], nodes=["c"])
+
     @given(random_graphs(), st.lists(st.integers(0, 50), max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, g, extra):
-        for i in extra:
-            g.add_node(f"iso{i}")
+        g = WeightedGraph.from_edges(g.edges(), nodes=[f"iso{i}" for i in extra])
         buffer = io.StringIO()
         write_edge_list(g, buffer)
         assert read_edge_list(io.StringIO(buffer.getvalue())) == g

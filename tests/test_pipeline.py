@@ -190,6 +190,47 @@ class TestGoldenRun:
         assert (out / "variables.csv").read_bytes() == before
         assert sorted(out.glob("*.tmp")) == []
 
+    def test_failed_edge_list_write_keeps_previous_networks(self, tmp_path, monkeypatch):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build"]:
+            run_stage(stage, config)
+        out = Path(config.output_dir)
+        before = {p.name: p.read_bytes() for p in (out / "networks").iterdir()}
+        write_edge_list = pipeline.write_edge_list
+        calls = []
+
+        def fail_on_third_project(g, f):
+            calls.append(g)
+            if len(calls) == 3:
+                f.write("half a li")
+                raise OSError("disk full")
+            write_edge_list(g, f)
+
+        monkeypatch.setattr(pipeline, "write_edge_list", fail_on_third_project)
+        with pytest.raises(PipelineStageError, match="disk full"):
+            run_stage("build", config)
+        assert {p.name: p.read_bytes() for p in (out / "networks").iterdir()} == before
+        assert not (out / "networks.tmp").exists()
+
+    def test_dropped_project_loses_its_edge_list(self, tmp_path):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build"]:
+            run_stage(stage, config)
+        out = Path(config.output_dir)
+        members = json.loads((out / "members.json").read_text(encoding="utf-8"))
+        assert (out / "networks" / "Kites.edges").exists()
+        del members["Kites"]
+        (out / "members.json").write_text(json.dumps(members), encoding="utf-8")
+        run_stage("build", config)
+        assert sorted(p.name for p in (out / "networks").iterdir()) == sorted(
+            f"{project}.edges" for project in members
+        )
+        assert sorted(p.name for p in out.iterdir() if p.name.startswith("networks")) == [
+            "networks"
+        ]
+
     def test_build_on_work_dir_without_interactions_fails_untouched(self, tmp_path):
         # A work dir parsed by an older version has posts.jsonl but no interactions.tsv.
         config = miniwiki_config(tmp_path)

@@ -141,6 +141,24 @@ class TestOlsFit:
         with pytest.raises(ValueError, match=re.escape("collinear columns: ['x1', 'x2']")):
             ols_fit(rescaled, "y", ["x1", "x2"])
 
+    def test_all_zero_column_is_named(self):
+        rng = np.random.default_rng(11)
+        data = {"x": rng.normal(size=30), "z": np.zeros(30), "y": rng.normal(size=30)}
+        message = "(condition estimate inf); collinear columns: ['z']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ols_fit(data, "y", ["x", "z"])
+
+    def test_column_units_do_not_decide_the_rank_check(self):
+        # Unscaled, [1, 1e7·x] has cond(X)² ≈ 1e14 and would be refused.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=100)
+        y = x + rng.normal(size=100)
+        plain = ols_fit({"x": x, "y": y}, "y", ["x"])
+        big = ols_fit({"x": 1e7 * x, "y": y}, "y", ["x"])
+        for name in ("const", "x"):
+            assert big.p_values[name] == pytest.approx(plain.p_values[name], rel=1e-9, abs=0)
+        assert big.coefficients["x"] == pytest.approx(1e-7 * plain.coefficients["x"], rel=1e-9)
+
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             ols_fit({"x": [1.0, float("nan"), 3.0], "y": [1, 2, 3]}, "y", ["x"])
@@ -186,7 +204,8 @@ class TestExactOracle:
             assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_cubic_design_is_rejected(self):
-        # cond(X) is 2.4e6, so cond(X)² is 5.8e12, past the 1e12 limit.
+        # cond(X) of the unit-norm columns is 2.4e6, so its square is 5.7e12,
+        # past the 1e12 limit.
         data, predictors = self.polynomial(3)
         with pytest.raises(ValueError, match="ill-conditioned"):
             ols_fit(data, "y", predictors)
