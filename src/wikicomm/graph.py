@@ -180,7 +180,10 @@ def read_edge_list(source: IO[str]) -> WeightedGraph:
         parts = line.split("\t")
         if len(parts) == 3:
             u, v, w = parts
-            weight = int(w)
+            try:
+                weight = int(w)
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
             if weight < 1:
                 raise ValueError(f"line {lineno}: edge weight must be >= 1, got {w}")
             if u == v:

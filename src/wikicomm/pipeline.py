@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import json
 import logging
 import math
@@ -50,11 +49,10 @@ from .stats import (
 )
 from .wikitext import (
     TalkPage,
+    canonical_username,
+    count_interactions,
     extract_project_members,
-    parse_talk_page,
-    posts_to_records,
     read_pages_jsonl,
-    write_posts_jsonl,
 )
 
 __all__ = ["PipelineStageError", "STAGES", "run_stage", "run_pipeline"]
@@ -199,11 +197,11 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
 
 # -- parse ------------------------------------------------------------------
 
-# Characters of page-dump lines per parse task: enough work per task that
-# pickling and the round trip to a worker stay small next to the parse, few
-# enough that the chunks in flight hold little memory. A chunk ends with the
-# line that takes it to this size.
-PARSE_CHUNK_CHARS = 1 << 20
+# Bytes of page-dump lines per parse task: enough work per task that the
+# round trip to a worker stays small next to the parse, few enough that the
+# chunks in flight hold little memory. A chunk ends with the line that takes
+# it to this size.
+PARSE_CHUNK_BYTES = 1 << 20
 
 
 @contextlib.contextmanager
@@ -249,28 +247,44 @@ def _parse_pool() -> Iterator[Callable]:
         executor.shutdown(cancel_futures=True)
 
 
-def _line_chunks(source: IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """``(number of the first line, lines)`` per run of about ``PARSE_CHUNK_CHARS``."""
+def _line_chunks(path: Path) -> Iterator[tuple[int, Path, int, int]]:
+    """``(number of the first line, path, offset, size)`` per run of about ``PARSE_CHUNK_BYTES``.
+
+    Each run ends at the end of a line. Only newlines are counted here: the
+    worker reads and decodes its own byte range.
+    """
     lineno = 1
-    lines: list[str] = []
-    size = 0
-    for line in source:
-        lines.append(line)
-        size += len(line)
-        if size >= PARSE_CHUNK_CHARS:
-            yield lineno, lines
-            lineno += len(lines)
-            lines = []
-            size = 0
-    if lines:
-        yield lineno, lines
+    offset = 0
+    with open(path, "rb") as f:
+        while data := f.read(PARSE_CHUNK_BYTES):
+            if not data.endswith(b"\n"):
+                data += f.readline()
+            yield lineno, path, offset, len(data)
+            lineno += data.count(b"\n")
+            offset += len(data)
 
 
-def _project_members_chunk(chunk: tuple[int, list[str]]) -> dict[str, set[str]]:
+def _chunk_records(chunk: tuple[int, Path, int, int]) -> Iterator[dict]:
+    """The page records of one chunk from :func:`_line_chunks`, read from its file."""
+    first_lineno, path, offset, size = chunk
+    with open(path, "rb") as f:
+        f.seek(offset)
+        data = f.read(size)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = first_lineno + data.count(b"\n", 0, exc.start)
+        raise ValueError(f"line {lineno}: {exc}") from exc
+    # Split at "\n" only: str.splitlines would also split at the U+2028 and
+    # U+0085 that JSON strings may hold unescaped. A CRLF line keeps its
+    # "\r", which read_pages_jsonl strips.
+    return read_pages_jsonl(text.split("\n"), start=first_lineno)
+
+
+def _project_members_chunk(chunk: tuple[int, Path, int, int]) -> dict[str, set[str]]:
     """The members found on a chunk of ``project_pages.jsonl`` lines, per project."""
-    first_lineno, lines = chunk
     pages_by_project: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for record in read_pages_jsonl(lines, start=first_lineno):
+    for record in _chunk_records(chunk):
         pages_by_project[record["project"]].append((record["title"], record["wikitext"]))
     return {
         project: extract_project_members(pages) for project, pages in pages_by_project.items()
@@ -278,50 +292,44 @@ def _project_members_chunk(chunk: tuple[int, list[str]]) -> dict[str, set[str]]:
 
 
 def _parse_talk_chunk(
-    delivery_agents: Sequence[str], markers: Sequence[str], chunk: tuple[int, list[str]]
-) -> tuple[str, str, int, int, list[str]]:
-    """Parse a chunk of ``talk_pages.jsonl`` lines.
+    agents: frozenset[str], markers: Sequence[str], chunk: tuple[int, Path, int, int]
+) -> tuple[str, int, int, list[str]]:
+    """Count the posts of a chunk of ``talk_pages.jsonl`` lines.
 
-    Returns the chunk's posts as JSONL text, its interaction lines, its page
-    and post counts, and why each skipped record was skipped. A page's
-    interaction lines give, per author in order of first appearance, the
-    number of its posts outside mass-message threads; the owner's own posts
-    are not counted.
+    Returns the chunk's interaction lines, its page and post counts, and why
+    each skipped record was skipped. A page's interaction lines give, per
+    author in order of first appearance, the number of its posts outside
+    mass-message threads; the owner's own posts are not counted. ``agents``
+    are the delivery agents' canonical usernames.
     """
-    first_lineno, lines = chunk
-    text = io.StringIO()
     interactions = []
     n_pages = n_posts = 0
     skipped = []
-    for record in read_pages_jsonl(lines, start=first_lineno):
+    for record in _chunk_records(chunk):
         try:
             page = TalkPage.from_page(record["title"], record["wikitext"])
         except ValueError as exc:
             skipped.append(str(exc))
             continue
-        threads = parse_talk_page(page, delivery_agents=delivery_agents, markers=markers)
-        n_posts += write_posts_jsonl(posts_to_records(page, threads), text)
+        posts, counts = count_interactions(page, agents, markers)
         n_pages += 1
+        n_posts += posts
         owner = page.owner
-        counts: dict[str, int] = {}
-        for thread in threads:
-            if not thread.is_mass_message:
-                for post in thread.posts:
-                    if post.author != owner:
-                        counts[post.author] = counts.get(post.author, 0) + 1
         interactions.extend(f"{author}\t{owner}\t{n}\n" for author, n in counts.items())
-    return text.getvalue(), "".join(interactions), n_pages, n_posts, skipped
+    return "".join(interactions), n_pages, n_posts, skipped
 
 
 def stage_parse(config: PipelineConfig) -> dict:
-    """Parse fetched wikitext into member sets, post records and interaction counts.
+    """Parse fetched wikitext into member sets and interaction counts.
 
     The parsing runs on every CPU in the process's affinity mask; the outputs
     are written in input order, so they do not depend on the CPU count.
     """
     out = _out(config)
     parse_chunk = functools.partial(
-        _parse_talk_chunk, config.delivery_agents, config.mass_message_markers
+        _parse_talk_chunk,
+        frozenset(canonical_username(a) for a in config.delivery_agents),
+        config.mass_message_markers,
     )
     members: dict[str, set[str]] = defaultdict(set)
     n_posts = 0
@@ -329,26 +337,25 @@ def stage_parse(config: PipelineConfig) -> dict:
     skipped = 0
     with _parse_pool() as ordered_map, _replaced_on_success(
         out / "members.json"
-    ) as f_members, _replaced_on_success(
-        out / "posts.jsonl"
-    ) as f_posts, _replaced_on_success(out / "interactions.tsv") as f_interactions:
-        with open(out / "project_pages.jsonl", encoding="utf-8") as f_in:
-            for found in ordered_map(_project_members_chunk, _line_chunks(f_in)):
-                for project, names in found.items():
-                    members[project] |= names
+    ) as f_members, _replaced_on_success(out / "interactions.tsv") as f_interactions:
+        for found in ordered_map(_project_members_chunk, _line_chunks(out / "project_pages.jsonl")):
+            for project, names in found.items():
+                members[project] |= names
         sorted_members = {project: sorted(names) for project, names in members.items()}
         f_members.write(json.dumps(sorted_members, indent=2, sort_keys=True) + "\n")
-        with open(out / "talk_pages.jsonl", encoding="utf-8") as f_in:
-            for text, interactions, pages, posts, reasons in ordered_map(
-                parse_chunk, _line_chunks(f_in)
-            ):
-                f_posts.write(text)
-                f_interactions.write(interactions)
-                n_pages += pages
-                n_posts += posts
-                skipped += len(reasons)
-                for reason in reasons:
-                    log.warning("skipping non-user-talk record: %s", reason)
+        for interactions, pages, posts, reasons in ordered_map(
+            parse_chunk, _line_chunks(out / "talk_pages.jsonl")
+        ):
+            f_interactions.write(interactions)
+            n_pages += pages
+            n_posts += posts
+            skipped += len(reasons)
+            for reason in reasons:
+                log.warning("skipping non-user-talk record: %s", reason)
+    # Older versions also wrote every post to posts.jsonl; such a file would
+    # no longer agree with the interactions just written.
+    for name in ("posts.jsonl", "posts.jsonl.tmp"):
+        (out / name).unlink(missing_ok=True)
     log.info("parse: %d pages -> %d posts (%d records skipped)", n_pages, n_posts, skipped)
     return {"pages": n_pages, "posts": n_posts, "skipped": skipped}
 
@@ -375,7 +382,7 @@ def stage_build(config: PipelineConfig) -> list[ProjectRecord]:
     out = _out(config)
     interactions = out / "interactions.tsv"
     if not interactions.exists():
-        # Work dirs parsed by older versions have posts.jsonl but not this file.
+        # Work dirs parsed by versions that predate this file lack it.
         raise FileNotFoundError(f"{interactions} not found; rerun the parse stage")
     members = _read_members(out)
     for project in sorted(members):

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from json.encoder import encode_basestring
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Signature",
@@ -30,9 +30,8 @@ __all__ = [
     "extract_posts",
     "is_mass_message",
     "parse_talk_page",
+    "count_interactions",
     "extract_project_members",
-    "posts_to_records",
-    "write_posts_jsonl",
     "read_pages_jsonl",
     "DEFAULT_DELIVERY_AGENTS",
     "DEFAULT_MASS_MESSAGE_MARKERS",
@@ -69,12 +68,6 @@ _TIMESTAMP_RE = re.compile(
 # to the next occurrence of that literal.
 _MINUTES_RE = re.compile(r":\d\d,")
 _TALK_TITLE_RE = re.compile(r"[Uu]ser[ _][Tt]alk:(.+)$")
-# A post record as ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
-# writes it; the string fields go through the same escaper.
-_POST_LINE = (
-    '{"author": %s, "depth": %d, "mass_message": %s, '
-    '"page_owner": %s, "thread": %s, "timestamp": %s}\n'
-)
 
 # Wikipedia went live in January 2001; signatures dated earlier are suspect.
 _EARLIEST_PLAUSIBLE = (2001, 1, 15)
@@ -159,13 +152,16 @@ def _timestamp_matches(text: str) -> Iterator[re.Match]:
             yield ts_match
 
 
-def _iter_signatures(text: str) -> Iterator[tuple[str, datetime, int]]:
+def _iter_signatures(
+    text: str, skip_headings: bool = False
+) -> Iterator[tuple[str, datetime, int]]:
     """Yield ``(author, timestamp, end)`` for each valid signature occurrence.
 
     A valid occurrence is a timestamp with at least one user-namespace link
     earlier on the same line; the last such link names the author (copes
     with trailing "(talk)" links and pings). ``end`` is where the timestamp
-    match ends.
+    match ends. With ``skip_headings``, a timestamp on a level-2 heading
+    line is no signature, and its date is not checked.
 
     A user link admits no bracket after its opening ``[[``, so links never
     overlap or nest: the last link on the line is the one at the rightmost
@@ -176,6 +172,12 @@ def _iter_signatures(text: str) -> Iterator[tuple[str, datetime, int]]:
     for ts_match in _timestamp_matches(text):
         ts_start = ts_match.start()
         line_start = text.rfind("\n", 0, ts_start) + 1
+        if (
+            skip_headings
+            and text.startswith("==", line_start)
+            and _HEADING_RE.match(text, line_start)
+        ):
+            continue
         link = None
         pos = text.rfind("[[", line_start, ts_start)
         while pos >= 0:
@@ -206,6 +208,37 @@ def parse_signature(segment: str) -> Optional[Signature]:
     return None
 
 
+def _thread_spans(text: str) -> list[tuple[str, int, int]]:
+    """``(heading, body start, body end)`` per level-2 thread of a talk page.
+
+    Content before the first heading forms an implicit thread with an empty
+    heading (only if it contains any non-whitespace). A body starts where
+    its heading line ends and ends where the next heading line starts.
+    """
+    matches = list(_HEADING_RE.finditer(text))
+    first = matches[0].start() if matches else len(text)
+    spans = [("", 0, first)] if text[:first].strip() else []
+    ends = [m.start() for m in matches[1:]] + [len(text)]
+    spans.extend((m.group(1).strip(), m.end(), end) for m, end in zip(matches, ends))
+    return spans
+
+
+def _signed_threads(text: str) -> list[tuple[str, int, int, list[tuple[str, datetime, int]]]]:
+    """``(heading, body start, body end, signatures)`` per thread, from one scan of the page.
+
+    Each signature goes to the thread whose body holds its end; signatures
+    on heading lines belong to no thread. A timestamp never spans a heading
+    line's ``==`` and cannot start before a body's leading newline, so this
+    finds what a scan of each body alone would find.
+    """
+    spans = _thread_spans(text)
+    starts = [start for _, start, _ in spans]
+    threads = [(heading, start, end, []) for heading, start, end in spans]
+    for signature in _iter_signatures(text, skip_headings=True):
+        threads[bisect_left(starts, signature[2]) - 1][3].append(signature)
+    return threads
+
+
 def split_threads(page: TalkPage) -> list[DiscussionThread]:
     """Segment a talk page into threads at level-2 headings.
 
@@ -214,17 +247,10 @@ def split_threads(page: TalkPage) -> list[DiscussionThread]:
     (``===`` and deeper) stay inside their parent thread.
     """
     text = page.wikitext
-    threads: list[DiscussionThread] = []
-    matches = list(_HEADING_RE.finditer(text))
-    preamble = text[: matches[0].start()] if matches else text
-    if preamble.strip():
-        threads.append(DiscussionThread(heading="", body=preamble))
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
-        threads.append(
-            DiscussionThread(heading=m.group(1).strip(), body=text[m.end() : end])
-        )
-    return threads
+    return [
+        DiscussionThread(heading=heading, body=text[start:end])
+        for heading, start, end in _thread_spans(text)
+    ]
 
 
 def _first_content_line(text: str, start: int, end: int) -> str:
@@ -241,6 +267,21 @@ def _first_content_line(text: str, start: int, end: int) -> str:
     return ""
 
 
+def _posts(
+    text: str, cursor: int, signatures: Iterable[tuple[str, datetime, int]]
+) -> list[Post]:
+    """The posts that ``signatures`` end, the first of them starting at ``cursor``."""
+    posts: list[Post] = []
+    for author, timestamp, end in signatures:
+        first = _first_content_line(text, cursor, end)
+        content = first.lstrip(":*")
+        posts.append(
+            Post(author, timestamp, len(first) - len(content), content.lstrip().startswith("{{"))
+        )
+        cursor = end
+    return posts
+
+
 def extract_posts(body: str) -> list[Post]:
     """Split a thread body at signatures; unsigned trailing text yields no post.
 
@@ -248,16 +289,7 @@ def extract_posts(body: str) -> list[Post]:
     own; depth is the count of leading ``:``/``*`` on the post's first
     content line (blank and subsection-heading lines are skipped).
     """
-    posts: list[Post] = []
-    cursor = 0
-    for author, timestamp, end in _iter_signatures(body):
-        first = _first_content_line(body, cursor, end)
-        content = first.lstrip(":*")
-        posts.append(
-            Post(author, timestamp, len(first) - len(content), content.lstrip().startswith("{{"))
-        )
-        cursor = end
-    return posts
+    return _posts(body, 0, _iter_signatures(body))
 
 
 def is_mass_message(
@@ -272,13 +304,20 @@ def is_mass_message(
     messages signed by a person (warnings, barnstars, welcomes) are not mass
     messages.
     """
-    return _is_mass_message(thread, {canonical_username(a) for a in delivery_agents}, markers)
+    return _is_mass_message(
+        [p.author for p in thread.posts],
+        thread.body,
+        {canonical_username(a) for a in delivery_agents},
+        markers,
+    )
 
 
-def _is_mass_message(thread: DiscussionThread, agents: set[str], markers: Sequence[str]) -> bool:
-    if any(p.author in agents for p in thread.posts):
+def _is_mass_message(
+    authors: Iterable[str], body: str, agents: Collection[str], markers: Sequence[str]
+) -> bool:
+    if any(author in agents for author in authors):
         return True
-    return any(marker in thread.body for marker in markers)
+    return any(marker in body for marker in markers)
 
 
 def parse_talk_page(
@@ -288,11 +327,38 @@ def parse_talk_page(
 ) -> list[DiscussionThread]:
     """Fully parse a talk page: threads, posts, and mass-message flags."""
     agents = {canonical_username(a) for a in delivery_agents}
-    threads = split_threads(page)
-    for thread in threads:
-        thread.posts = extract_posts(thread.body)
-        thread.is_mass_message = _is_mass_message(thread, agents, markers)
+    text = page.wikitext
+    threads = []
+    for heading, start, end, signatures in _signed_threads(text):
+        thread = DiscussionThread(heading, text[start:end], _posts(text, start, signatures))
+        thread.is_mass_message = _is_mass_message(
+            [p.author for p in thread.posts], thread.body, agents, markers
+        )
+        threads.append(thread)
     return threads
+
+
+def count_interactions(
+    page: TalkPage, agents: Collection[str], markers: Sequence[str]
+) -> tuple[int, dict[str, int]]:
+    """Count a talk page's posts as :func:`parse_talk_page` finds them, building none.
+
+    ``agents`` are the delivery agents' canonical usernames. Returns the
+    number of posts and, per author other than the page owner in order of
+    first post, the number of their posts outside mass-message threads.
+    """
+    text = page.wikitext
+    owner = page.owner
+    n_posts = 0
+    counts: dict[str, int] = {}
+    for _, start, end, signatures in _signed_threads(text):
+        n_posts += len(signatures)
+        authors = [author for author, _, _ in signatures]
+        if authors and not _is_mass_message(authors, text[start:end], agents, markers):
+            for author in authors:
+                if author != owner:
+                    counts[author] = counts.get(author, 0) + 1
+    return n_posts, counts
 
 
 def _is_talk_title(title: str) -> bool:
@@ -319,53 +385,6 @@ def extract_project_members(project_pages: Iterable[tuple[str, str]]) -> set[str
         for author, _, _ in _iter_signatures(wikitext):
             members.add(author)
     return members
-
-
-def posts_to_records(page: TalkPage, threads: Iterable[DiscussionThread]) -> list[dict]:
-    """Flatten parsed threads into JSON-ready post records.
-
-    Timestamps read ``YYYY-MM-DDTHH:MM:SSZ``, except that years below 1000
-    are not zero-padded (``999-01-02T03:04:00Z``), as glibc's ``strftime``
-    wrote them.
-    """
-    records = []
-    for thread in threads:
-        for post in thread.posts:
-            ts = post.timestamp
-            records.append(
-                {
-                    "page_owner": page.owner,
-                    "thread": thread.heading,
-                    "author": post.author,
-                    "timestamp": "%d-%02d-%02dT%02d:%02d:%02dZ"
-                    % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second),
-                    "depth": post.depth,
-                    "mass_message": thread.is_mass_message,
-                }
-            )
-    return records
-
-
-def write_posts_jsonl(records: Iterable[dict], out: IO[str]) -> int:
-    """Write post records as JSON lines; returns the number written.
-
-    Each record has the keys that :func:`posts_to_records` gives it, and its
-    line reads as ``json.dumps(record, ensure_ascii=False, sort_keys=True)``.
-    """
-    lines = [
-        _POST_LINE
-        % (
-            encode_basestring(r["author"]),
-            r["depth"],
-            "true" if r["mass_message"] else "false",
-            encode_basestring(r["page_owner"]),
-            encode_basestring(r["thread"]),
-            encode_basestring(r["timestamp"]),
-        )
-        for r in records
-    ]
-    out.write("".join(lines))
-    return len(lines)
 
 
 def read_pages_jsonl(source: Iterable[str], start: int = 1) -> Iterator[dict]:

@@ -20,6 +20,7 @@ import re
 from collections import namedtuple
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -180,6 +181,63 @@ def reference_posts_jsonl(title: str, wikitext: str, delivery_agents, markers) -
             }
             lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
     return "".join(lines)
+
+
+def posts_to_records(page, threads) -> list[dict]:
+    """Flatten ``wikicomm.wikitext.parse_talk_page`` threads into post records.
+
+    The records are what the first parser wrote to ``posts.jsonl``, so the
+    library's parser can be checked against ``reference_posts_jsonl`` and
+    the annotated corpus. Timestamps read ``YYYY-MM-DDTHH:MM:SSZ``, except
+    that years below 1000 are not zero-padded (``999-01-02T03:04:00Z``), as
+    glibc's ``strftime`` wrote them.
+    """
+    records = []
+    for thread in threads:
+        for post in thread.posts:
+            ts = post.timestamp
+            records.append(
+                {
+                    "page_owner": page.owner,
+                    "thread": thread.heading,
+                    "author": post.author,
+                    "timestamp": "%d-%02d-%02dT%02d:%02d:%02dZ"
+                    % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second),
+                    "depth": post.depth,
+                    "mass_message": thread.is_mass_message,
+                }
+            )
+    return records
+
+
+# A post record as ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
+# writes it; the string fields go through the same escaper.
+_POST_LINE = (
+    '{"author": %s, "depth": %d, "mass_message": %s, '
+    '"page_owner": %s, "thread": %s, "timestamp": %s}\n'
+)
+
+
+def write_posts_jsonl(records, out) -> int:
+    """Write post records as JSON lines; returns the number written.
+
+    Each record has the keys that :func:`posts_to_records` gives it, and its
+    line reads as ``json.dumps(record, ensure_ascii=False, sort_keys=True)``.
+    """
+    lines = [
+        _POST_LINE
+        % (
+            encode_basestring(r["author"]),
+            r["depth"],
+            "true" if r["mass_message"] else "false",
+            encode_basestring(r["page_owner"]),
+            encode_basestring(r["thread"]),
+            encode_basestring(r["timestamp"]),
+        )
+        for r in records
+    ]
+    out.write("".join(lines))
+    return len(lines)
 
 
 def reference_project_members(pages) -> set[str]:

@@ -310,6 +310,10 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match="^line 3: edge weight must be >= 1, got 0$"):
             read_edge_list(io.StringIO("a\tb\t1\n\nc\td\t0\n"))
 
+    def test_non_numeric_weight_line_is_named(self):
+        with pytest.raises(ValueError, match=r"^line 2: malformed edge-list line: 'c\\td\\tx'$"):
+            read_edge_list(io.StringIO("a\tb\t1\nc\td\tx\n"))
+
     def test_blank_line_is_skipped(self):
         g = read_edge_list(io.StringIO("a\tb\t2\n\nb\ta\t1\nc\t0\n"))
         assert g == WeightedGraph.from_edges([("a", "b", 3)], nodes=["c"])

@@ -12,8 +12,10 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import wikicomm.pipeline as pipeline
+import wikicomm.wikitext as wikitext
 from wikicomm.client import FetchExhaustedError, MediaWikiClient, canonical_request
 from wikicomm.config import ConfigError, PipelineConfig
 from wikicomm.pipeline import (
@@ -25,6 +27,7 @@ from wikicomm.pipeline import (
 
 from fakes import RoutingSession, write_legacy_cache_entry
 from oracles import reference_posts_jsonl, reference_project_members
+from test_wikitext import wikitexts
 
 MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
 GOLDEN = MINIWIKI / "golden"
@@ -142,7 +145,7 @@ class TestGoldenRun:
         out = Path(config.output_dir)
         upstream = {
             name: (out / name).read_bytes()
-            for name in ["posts.jsonl", "members.json", "projects.csv", "quality.csv"]
+            for name in ["interactions.tsv", "members.json", "projects.csv", "quality.csv"]
         }
         (out / "variables.csv").write_text("corrupted\n")
         for stage in ["parse", "build", "quality"]:
@@ -280,11 +283,36 @@ def parse_on(cpus, config, monkeypatch) -> dict:
     return run_stage("parse", config)
 
 
-def parse_outputs(config) -> tuple[bytes, bytes, bytes]:
+def parse_outputs(config) -> tuple[bytes, bytes]:
     out = Path(config.output_dir)
-    return tuple(
-        (out / name).read_bytes() for name in ("posts.jsonl", "members.json", "interactions.tsv")
-    )
+    return tuple((out / name).read_bytes() for name in ("members.json", "interactions.tsv"))
+
+
+def reference_records(config, records) -> list[dict]:
+    """The oracle's post records of the talk-page records, page by page (None is a blank line)."""
+    return [
+        json.loads(line)
+        for r in records
+        if r is not None
+        for line in reference_posts_jsonl(
+            r["title"], r["wikitext"], config.delivery_agents, config.mass_message_markers
+        ).splitlines()
+    ]
+
+
+def reference_interactions(config, records) -> str:
+    """``interactions.tsv`` as the oracle's post records give it: per page, per author in
+    order of first post, the posts outside mass-message threads, the owner's left out."""
+    lines = []
+    for r in records:
+        posts = reference_records(config, [r])
+        counts = Counter(
+            post["author"]
+            for post in posts
+            if not post["mass_message"] and post["author"] != post["page_owner"]
+        )
+        lines.extend(f"{author}\t{posts[0]['page_owner']}\t{n}\n" for author, n in counts.items())
+    return "".join(lines)
 
 
 def write_jsonl(path: Path, records) -> None:
@@ -294,7 +322,7 @@ def write_jsonl(path: Path, records) -> None:
 
 
 def seed_multichunk_workdir(config, monkeypatch) -> list:
-    """The mini-wiki with its pages repeated as archive subpages, in chunks of 4096 characters.
+    """The mini-wiki with its pages repeated as archive subpages, in chunks of 4096 bytes.
 
     ``talk_pages.jsonl`` spans several chunks, ends with a partial one, and
     holds a blank line and a non-ASCII page. ``project_pages.jsonl`` lists
@@ -302,7 +330,7 @@ def seed_multichunk_workdir(config, monkeypatch) -> list:
     come from more than one chunk. Returns the talk-page records (None for
     the blank line).
     """
-    monkeypatch.setattr(pipeline, "PARSE_CHUNK_CHARS", 4096)
+    monkeypatch.setattr(pipeline, "PARSE_CHUNK_BYTES", 4096)
     out = seed_workdir(config)
     project_pages = load_jsonl(MINIWIKI / "project_pages.jsonl")
     write_jsonl(out / "project_pages.jsonl", sorted(project_pages, key=lambda r: "/" in r["title"]))
@@ -318,8 +346,7 @@ def seed_multichunk_workdir(config, monkeypatch) -> list:
         "wikitext": "== Grüße ==\nDanke! [[User:Ωmega|Ωmega]] 10:00, 1 May 2021 (UTC)\n",
     })
     write_jsonl(out / "talk_pages.jsonl", records)
-    with open(out / "talk_pages.jsonl", encoding="utf-8") as f:
-        chunks = [len("".join(lines)) for _, lines in pipeline._line_chunks(f)]
+    chunks = [size for _, _, _, size in pipeline._line_chunks(out / "talk_pages.jsonl")]
     assert len(chunks) >= 4 and chunks[-1] < 4096
     return records
 
@@ -331,7 +358,9 @@ class TestParallelParse:
         pooled = parse_on(POOLED, config, monkeypatch), parse_outputs(config)
         in_process = parse_on(IN_PROCESS, config, monkeypatch), parse_outputs(config)
         assert pooled == in_process
-        assert pooled[0] == {"pages": 93, "posts": in_process[1][0].count(b"\n"), "skipped": 0}
+        records = load_jsonl(MINIWIKI / "talk_pages.jsonl")
+        posts = len(reference_records(config, records))
+        assert pooled[0] == {"pages": 93, "posts": posts, "skipped": 0}
 
     def test_routes_write_identical_bytes_across_chunks(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
@@ -340,15 +369,8 @@ class TestParallelParse:
         in_process = parse_on(IN_PROCESS, config, monkeypatch), parse_outputs(config)
         assert pooled == in_process
         # Chunks are written in input order: the oracle parses page by page.
-        expected = "".join(
-            reference_posts_jsonl(
-                r["title"], r["wikitext"], config.delivery_agents, config.mass_message_markers
-            )
-            for r in records
-            if r is not None
-        )
-        posts, members, _ = pooled[1]
-        assert posts.decode("utf-8") == expected
+        members, interactions = pooled[1]
+        assert interactions.decode("utf-8") == reference_interactions(config, records)
         pages_by_project: dict = {}
         for r in load_jsonl(MINIWIKI / "project_pages.jsonl"):
             pages_by_project.setdefault(r["project"], []).append((r["title"], r["wikitext"]))
@@ -356,7 +378,8 @@ class TestParallelParse:
             project: sorted(reference_project_members(pages))
             for project, pages in pages_by_project.items()
         }
-        assert pooled[0] == {"pages": 4 * 93 + 1, "posts": expected.count("\n"), "skipped": 0}
+        posts = len(reference_records(config, records))
+        assert pooled[0] == {"pages": 4 * 93 + 1, "posts": posts, "skipped": 0}
 
     @ROUTES
     def test_malformed_line_fails_parse_and_keeps_previous_outputs(
@@ -382,23 +405,24 @@ class TestParallelParse:
     ):
         config = miniwiki_config(tmp_path)
         if multichunk:
-            seed_multichunk_workdir(config, monkeypatch)
+            talk = seed_multichunk_workdir(config, monkeypatch)
         else:
             seed_workdir(config)
+            talk = load_jsonl(MINIWIKI / "talk_pages.jsonl")
         outputs = set()
-        for chunk_chars in (4096, 1 << 20):
-            monkeypatch.setattr(pipeline, "PARSE_CHUNK_CHARS", chunk_chars)
+        for chunk_bytes in (4096, 1 << 20):
+            monkeypatch.setattr(pipeline, "PARSE_CHUNK_BYTES", chunk_bytes)
             for cpus in (POOLED, IN_PROCESS):
                 parse_on(cpus, config, monkeypatch)
                 outputs.add(parse_outputs(config))
         assert len(outputs) == 1
-        [(posts, _, interactions)] = outputs
+        [(_, interactions)] = outputs
         lines = interactions.decode("utf-8").splitlines()
         summed: Counter = Counter()
         for line in lines:
             author, owner, count = line.split("\t")
             summed[author, owner] += int(count)
-        records = [json.loads(line) for line in posts.decode("utf-8").splitlines()]
+        records = reference_records(config, talk)
         assert summed == Counter(
             (r["author"], r["page_owner"])
             for r in records
@@ -407,7 +431,7 @@ class TestParallelParse:
         # Lines are per page: an owner's archive pages repeat its pairs.
         assert (len(lines) > len(summed)) == multichunk
 
-    def test_interaction_lines_per_page_in_order_of_first_post(self):
+    def test_interaction_lines_per_page_in_order_of_first_post(self, tmp_path):
         owner_page = (
             "== Hello ==\n"
             "Hi [[User:Cal]] 10:00, 1 May 2021 (UTC)\n"
@@ -418,16 +442,33 @@ class TestParallelParse:
             "Issue 4 [[User:Dee]] 10:00, 2 May 2021 (UTC)"
             "<!-- Message sent by User:Dee@enwiki -->\n"
         )
-        lines = [
-            json.dumps({"title": "User talk:Owner", "wikitext": owner_page}) + "\n",
-            json.dumps({"title": "User talk:Cal", "wikitext": "Hey [[User:Bea]] "
-                        "09:00, 1 May 2021 (UTC)\n"}) + "\n",
-        ]
-        _, interactions, pages, posts, skipped = pipeline._parse_talk_chunk(
-            ["MediaWiki message delivery"], ["Message sent by User:"], (1, lines)
+        path = tmp_path / "talk_pages.jsonl"
+        write_jsonl(path, [
+            {"title": "User talk:Owner", "wikitext": owner_page},
+            {"title": "User talk:Cal", "wikitext": "Hey [[User:Bea]] 09:00, 1 May 2021 (UTC)\n"},
+        ])
+        interactions, pages, posts, skipped = pipeline._parse_talk_chunk(
+            {"MediaWiki message delivery"},
+            ["Message sent by User:"],
+            (1, path, 0, path.stat().st_size),
         )
         assert (pages, posts, skipped) == (2, 6, [])
         assert interactions == "Cal\tOwner\t2\nBea\tOwner\t1\nBea\tCal\t1\n"
+
+    @given(wikitexts)
+    @settings(max_examples=300, deadline=None)
+    def test_page_interactions_match_reference_records(self, tmp_path_factory, text):
+        config = PipelineConfig()
+        record = {"title": "User talk:Zoë_Ng/Archive", "wikitext": text}
+        path = tmp_path_factory.getbasetemp() / "one_page.jsonl"
+        write_jsonl(path, [record])
+        interactions, pages, posts, skipped = pipeline._parse_talk_chunk(
+            frozenset(config.delivery_agents),
+            config.mass_message_markers,
+            (1, path, 0, path.stat().st_size),
+        )
+        assert (pages, posts, skipped) == (1, len(reference_records(config, [record])), [])
+        assert interactions == reference_interactions(config, [record])
 
     def test_dead_worker_fails_parse_instead_of_hanging(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
@@ -435,7 +476,7 @@ class TestParallelParse:
         parse_on(POOLED, config, monkeypatch)
         before = parse_outputs(config)
         # Workers fork from this process, so they inherit the patch.
-        monkeypatch.setattr(pipeline, "parse_talk_page", lambda *a, **k: os._exit(9))
+        monkeypatch.setattr(pipeline, "count_interactions", lambda *a, **k: os._exit(9))
 
         def hung(signum, frame):
             raise TimeoutError("parse still waiting on a dead worker after 60 s")
@@ -475,9 +516,9 @@ class TestParallelParse:
         config = miniwiki_config(tmp_path)
         seed_workdir(config)
         calls = []
-        parse = pipeline.parse_talk_page
+        count = pipeline.count_interactions
         monkeypatch.setattr(
-            pipeline, "parse_talk_page", lambda *a, **k: calls.append(1) or parse(*a, **k)
+            pipeline, "count_interactions", lambda *a, **k: calls.append(1) or count(*a, **k)
         )
         parse_on(POOLED, config, monkeypatch)
         assert calls == []
@@ -493,14 +534,86 @@ class TestParallelParse:
         parse_on(POOLED, config, monkeypatch)
         pooled = parse_outputs(config)
         calls = []
-        parse = pipeline.parse_talk_page
+        count = pipeline.count_interactions
         monkeypatch.setattr(
-            pipeline, "parse_talk_page", lambda *a, **k: calls.append(1) or parse(*a, **k)
+            pipeline, "count_interactions", lambda *a, **k: calls.append(1) or count(*a, **k)
         )
         monkeypatch.delattr(os, "sched_getaffinity")
         run_stage("parse", config)
         assert len(calls) == 93
         assert parse_outputs(config) == pooled
+
+    def test_one_signature_scan_per_talk_page(self, tmp_path, monkeypatch):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        scans = []
+        scan = wikitext._iter_signatures
+
+        def counted(text, skip_headings=False):
+            scans.append(skip_headings)
+            return scan(text, skip_headings)
+
+        monkeypatch.setattr(wikitext, "_iter_signatures", counted)
+        parse_on(IN_PROCESS, config, monkeypatch)
+        # Talk pages skip heading lines; project pages (31 records) do not.
+        assert Counter(scans) == {True: 93, False: 31}
+        talk = load_jsonl(MINIWIKI / "talk_pages.jsonl")
+        assert parse_outputs(config)[1].decode() == reference_interactions(config, talk)
+
+    @ROUTES
+    def test_crlf_dumps_parse_as_lf_dumps(self, tmp_path, monkeypatch, cpus):
+        config = miniwiki_config(tmp_path)
+        out = Path(config.output_dir)
+        seed_multichunk_workdir(config, monkeypatch)
+        lf = parse_on(cpus, config, monkeypatch), parse_outputs(config)
+        for name in ("project_pages.jsonl", "talk_pages.jsonl"):
+            data = (out / name).read_bytes()
+            assert b"\r" not in data
+            (out / name).write_bytes(data.replace(b"\n", b"\r\n"))
+        assert (parse_on(cpus, config, monkeypatch), parse_outputs(config)) == lf
+
+    @ROUTES
+    def test_malformed_line_after_non_ascii_pages_names_its_line(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        # Two- to four-byte characters: a chunk's byte size is far from its
+        # character count, so line numbers taken from either would drift.
+        # U+2028 and U+0085 end a line for str.splitlines, not for the dump.
+        monkeypatch.setattr(pipeline, "PARSE_CHUNK_BYTES", 4096)
+        config = miniwiki_config(tmp_path)
+        out = seed_workdir(config)
+        text = "== Grüße ==\n日本語 Ωmega \U0001f600 \u2028\x85 " * 40
+        text += "[[User:Zoë]] 10:00, 1 May 2021 (UTC)\n"
+        records = [{"title": f"User talk:Ærin/Archive {k}", "wikitext": text} for k in range(40)]
+        lines = [json.dumps(r, ensure_ascii=False) + "\n" for r in records]
+        lines.insert(7, "\n")
+        bad = len(lines) - 3
+        lines[bad] = lines[bad][:100] + "\n"
+        (out / "talk_pages.jsonl").write_text("".join(lines), encoding="utf-8")
+        assert len(list(pipeline._line_chunks(out / "talk_pages.jsonl"))) > 10
+        with pytest.raises(PipelineStageError, match=rf"'parse'.*line {bad + 1}:"):
+            parse_on(cpus, config, monkeypatch)
+
+    def test_undecodable_line_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "PARSE_CHUNK_BYTES", 4096)
+        config = miniwiki_config(tmp_path)
+        out = seed_workdir(config)
+        lines = (out / "talk_pages.jsonl").read_bytes().splitlines(keepends=True)
+        lines[60] = lines[60].replace(b"User talk:", b"User talk:\xff", 1)
+        (out / "talk_pages.jsonl").write_bytes(b"".join(lines))
+        with pytest.raises(PipelineStageError, match=r"'parse'.*line 61: 'utf-8' codec"):
+            parse_on(IN_PROCESS, config, monkeypatch)
+
+    def test_parse_removes_posts_jsonl_of_older_versions(self, tmp_path, monkeypatch):
+        config = miniwiki_config(tmp_path)
+        out = seed_workdir(config)
+        for name in ("posts.jsonl", "posts.jsonl.tmp"):
+            (out / name).write_text('{"author": "Stale", "page_owner": "Gone"}\n')
+        parse_on(POOLED, config, monkeypatch)
+        assert not (out / "posts.jsonl").exists()
+        assert not (out / "posts.jsonl.tmp").exists()
+        talk = load_jsonl(MINIWIKI / "talk_pages.jsonl")
+        assert parse_outputs(config)[1].decode() == reference_interactions(config, talk)
 
     def test_importing_wikicomm_loads_no_process_pool(self):
         code = (

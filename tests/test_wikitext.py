@@ -16,18 +16,22 @@ from wikicomm.wikitext import (
     _TIMESTAMP_RE,
     _timestamp_matches,
     canonical_username,
+    count_interactions,
     extract_posts,
     extract_project_members,
     is_mass_message,
     parse_signature,
     parse_talk_page,
-    posts_to_records,
     read_pages_jsonl,
     split_threads,
-    write_posts_jsonl,
 )
 
-from oracles import reference_posts_jsonl, reference_project_members
+from oracles import (
+    posts_to_records,
+    reference_posts_jsonl,
+    reference_project_members,
+    write_posts_jsonl,
+)
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -89,6 +93,30 @@ class TestParseSignature:
         assert sig is not None
         assert sig.timestamp.year == 1999
         assert any("plausible range" in message for message in caplog.messages)
+
+
+    def test_heading_line_date_is_checked_only_on_project_pages(self, caplog):
+        text = (
+            "== Hi [[User:A|A]] 10:00, 1 May 1999 (UTC) ==\n"
+            "body [[User:B|B]] 10:00, 2 May 1998 (UTC)\n"
+        )
+        body_warning = "timestamp outside plausible range kept: 1998-05-02T10:00:00+00:00"
+        heading_warning = "timestamp outside plausible range kept: 1999-05-01T10:00:00+00:00"
+        page = TalkPage.from_page("User talk:X", text)
+        with caplog.at_level("WARNING", logger="wikicomm.wikitext"):
+            threads = parse_talk_page(page)
+        assert caplog.messages == [body_warning]
+        assert [p.author for t in threads for p in t.posts] == ["B"]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="wikicomm.wikitext"):
+            counted = count_interactions(page, set(), [])
+        assert caplog.messages == [body_warning]
+        assert counted == (1, {"B": 1})
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="wikicomm.wikitext"):
+            members = extract_project_members([("Wikipedia:WikiProject X", text)])
+        assert caplog.messages == [heading_warning, body_warning]
+        assert members == {"A", "B"}
 
 
 class TestTalkPage:
