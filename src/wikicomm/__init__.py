@@ -5,7 +5,7 @@ relating structure to the quality of group output."""
 __version__ = "0.1.0"
 
 from .graph import StructureMetrics, WeightedGraph, effective_information
-from .network import ProjectRecord, build_networks, filter_projects, project_record
+from .network import build_networks
 from .quality import Grade, q_score
 from .stats import (
     DataMatrix,
@@ -47,10 +47,7 @@ __all__ = [
     "is_mass_message",
     "parse_talk_page",
     "extract_project_members",
-    "ProjectRecord",
     "build_networks",
-    "project_record",
-    "filter_projects",
     "Grade",
     "q_score",
     "DataMatrix",

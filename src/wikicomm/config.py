@@ -7,7 +7,7 @@ import os
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Optional, get_type_hints
 
 from .wikitext import (
     DEFAULT_DELIVERY_AGENTS,
@@ -43,6 +43,24 @@ DEFAULT_ASSESSMENTS_QUERY = {
 
 class ConfigError(Exception):
     """Invalid or unusable configuration."""
+
+
+# What each config field type accepts from JSON: its description and its
+# check. A JSON true or false is not a number here, although bool is an int.
+_JSON_TYPES = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    list[str]: (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    ),
+    dict[str, str]: (
+        "an object of strings",
+        lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
+    ),
+}
 
 
 def normalize_project_name(raw: str, aliases: Optional[dict[str, str]] = None) -> str:
@@ -128,6 +146,11 @@ class PipelineConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        types = get_type_hints(cls)
+        for key, value in data.items():
+            expected, accepts = _JSON_TYPES[types[key]]
+            if not accepts(value):
+                raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
         try:
             return cls(**data)
         except TypeError as exc:

@@ -9,40 +9,22 @@ there, before the posts are counted.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .graph import WeightedGraph
 
-__all__ = [
-    "ProjectRecord",
-    "build_networks",
-    "project_record",
-    "filter_projects",
-    "write_project_summary",
-]
-
-
-@dataclass(frozen=True)
-class ProjectRecord:
-    """One Wikiproject: its communication network and coverage stats."""
-
-    project: str
-    network: WeightedGraph
-    member_count: int
-    active_count: int
-    fraction_in_network: float
+__all__ = ["build_networks", "summary_row"]
 
 
 def build_networks(
     interactions: Iterable[tuple[str, str, int]],
     members_by_project: Mapping[str, Iterable[str]],
     require_both_members: bool = True,
-) -> dict[str, WeightedGraph]:
-    """Each project's network from one pass over ``(author, page_owner, count)`` triples.
+) -> Iterator[tuple[str, WeightedGraph]]:
+    """Yield ``(project, network)`` per project, in sorted project order.
 
-    A triple stands for ``count`` posts; repeated pairs, in either
+    The networks come from one pass over ``(author, page_owner, count)``
+    triples. A triple stands for ``count`` posts; repeated pairs, in either
     direction, add up. Self-posts never count. Every member is a node of its
     project's network, isolated when it exchanged no counted message. With
     ``require_both_members`` (the default) an interaction counts only when
@@ -51,7 +33,9 @@ def build_networks(
     subgraph of the member set.
 
     The counts are summed once into a per-user neighbour index, so the cost
-    of a project scales with its members' degrees, not with the corpus.
+    of a project scales with its members' degrees, not with the corpus. Each
+    network is built only when it is asked for, so a caller that lets go of
+    one before the next holds one network at a time.
     """
     neighbours: dict[str, dict[str, int]] = {}
     for author, owner, count in interactions:
@@ -65,9 +49,8 @@ def build_networks(
         if by_owner is None:
             by_owner = neighbours[owner] = {}
         by_owner[author] = by_owner.get(author, 0) + count
-    networks = {}
-    for project, members in members_by_project.items():
-        member_set = set(members)
+    for project in sorted(members_by_project):
+        member_set = set(members_by_project[project])
         edges = []
         for u in member_set:
             adjacent = neighbours.get(u)
@@ -79,16 +62,16 @@ def build_networks(
                         edges.append((u, v, w))
                 elif not require_both_members:
                     edges.append((u, v, w))
-        networks[project] = WeightedGraph.from_edges(edges, nodes=member_set)
-    return networks
+        yield project, WeightedGraph.from_edges(edges, nodes=member_set)
 
 
-def project_record(
-    project: str,
-    members: Iterable[str],
-    network: WeightedGraph,
-) -> ProjectRecord:
-    """Assemble a :class:`ProjectRecord`, computing the member fraction in-network.
+def summary_row(
+    project: str, members: Iterable[str], network: WeightedGraph
+) -> tuple[str, int, int, str]:
+    """The ``projects.csv`` row of a project.
+
+    The row is ``(project, member_count, active_nodes, fraction_in_network)``,
+    the fraction printed to six decimals.
 
     The fraction counts only members: a non-member endpoint (kept when
     interactions need just one member) is in the network but not in the
@@ -101,55 +84,5 @@ def project_record(
     if not member_set:
         raise ValueError(f"project {project!r} has an empty member set")
     active = network.active_nodes()
-    return ProjectRecord(
-        project=project,
-        network=network,
-        member_count=len(member_set),
-        active_count=len(active),
-        fraction_in_network=len(active & member_set) / len(member_set),
-    )
-
-
-def filter_projects(
-    records: Sequence[ProjectRecord],
-    quality: Mapping[str, int],
-    min_active_nodes: int = 5,
-) -> list[ProjectRecord]:
-    """Keep projects with enough network participants and at least one quality page.
-
-    Structural metrics are not meaningful on very small networks, and
-    projects with no quality output form a different population, so records
-    are kept only when ``active_count >= min_active_nodes`` and the project
-    has a positive quality-page count. Input order is preserved; the
-    operation is idempotent.
-
-    Args:
-        records: project records to filter.
-        quality: per-project count of quality pages (FA+GA).
-        min_active_nodes: minimum non-isolated network nodes.
-
-    Raises:
-        KeyError: if a record's project is missing from ``quality``.
-    """
-    kept = []
-    for record in records:
-        if record.project not in quality:
-            raise KeyError(f"no quality-page count for project {record.project!r}")
-        if record.active_count >= min_active_nodes and quality[record.project] >= 1:
-            kept.append(record)
-    return kept
-
-
-def write_project_summary(records: Iterable[ProjectRecord], out: IO[str]) -> None:
-    """Write the per-project coverage CSV."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["project", "member_count", "active_nodes", "fraction_in_network"])
-    for record in records:
-        writer.writerow(
-            [
-                record.project,
-                record.member_count,
-                record.active_count,
-                f"{record.fraction_in_network:.6f}",
-            ]
-        )
+    fraction = len(active & member_set) / len(member_set)
+    return project, len(member_set), len(active), f"{fraction:.6f}"

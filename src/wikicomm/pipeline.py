@@ -24,13 +24,7 @@ from . import __version__
 from .client import MediaWikiClient
 from .config import ConfigError, PipelineConfig, normalize_project_name
 from .graph import effective_information, read_edge_list, write_edge_list
-from .network import (
-    ProjectRecord,
-    build_networks,
-    filter_projects,
-    project_record,
-    write_project_summary,
-)
+from .network import build_networks, summary_row
 from .quality import GRADE_RANK, Grade, q_score, read_assessments_csv, write_quality_csv
 from .report import (
     REFERENCE_SNAPSHOT_ANCHORS,
@@ -377,8 +371,12 @@ def _read_interactions(path: Path) -> Iterator[tuple[str, str, int]]:
             yield parts[0], parts[1], int(parts[2])
 
 
-def stage_build(config: PipelineConfig) -> list[ProjectRecord]:
-    """Sum interaction counts into per-project networks, edge lists, and the summary CSV."""
+def stage_build(config: PipelineConfig) -> int:
+    """Sum interaction counts into per-project networks, edge lists, and the summary CSV.
+
+    Each network is written out as it is built; only its ``projects.csv``
+    row is kept.
+    """
     out = _out(config)
     interactions = out / "interactions.tsv"
     if not interactions.exists():
@@ -389,25 +387,25 @@ def stage_build(config: PipelineConfig) -> list[ProjectRecord]:
         if not members[project]:
             log.warning("project %s has no detected members, skipped", project)
             del members[project]
-    networks = build_networks(
-        _read_interactions(interactions), members, config.require_both_members
-    )
 
-    records = []
-    slugs: dict[str, str] = {}
+    rows = []
+    slugs: set[str] = set()
     with _dir_replaced_on_success(out / "networks") as networks_dir:
-        for project in sorted(members):
+        for project, network in build_networks(
+            _read_interactions(interactions), members, config.require_both_members
+        ):
             slug = _slug(project)
-            if slug in slugs.values():
+            if slug in slugs:
                 raise ValueError(f"project slug collision for {project!r}")
-            slugs[project] = slug
+            slugs.add(slug)
             with open(networks_dir / f"{slug}.edges", "w", encoding="utf-8") as f:
-                write_edge_list(networks[project], f)
-            records.append(project_record(project, members[project], networks[project]))
-    with _replaced_on_success(out / "projects.csv") as f:
-        write_project_summary(records, f)
-    log.info("build: %d project networks", len(records))
-    return records
+                write_edge_list(network, f)
+            rows.append(summary_row(project, members[project], network))
+        with _replaced_on_success(out / "projects.csv") as f:
+            header = ["project", "member_count", "active_nodes", "fraction_in_network"]
+            _write_csv(f, header, rows)
+    log.info("build: %d project networks", len(rows))
+    return len(rows)
 
 
 # -- quality ----------------------------------------------------------------
@@ -489,26 +487,37 @@ def _read_projects_csv(path: Path) -> list[dict]:
 
 
 def stage_metrics(config: PipelineConfig) -> int:
-    """Join networks and quality, filter, and emit the per-project variables CSV."""
+    """Filter the built projects, measure the kept networks, and emit the variables CSV.
+
+    A project is kept when its network has at least ``min_active_nodes``
+    active nodes and it has at least one FA/GA page; a project without a
+    quality row has none. Only the kept projects' edge lists are read.
+    """
     out = _out(config)
-    summary = _read_projects_csv(out / "projects.csv")
+    built = _read_projects_csv(out / "projects.csv")
     quality_rows = {row["project"]: row for row in _read_projects_csv(out / "quality.csv")}
 
-    members = _read_members(out)
-    records = []
-    quality_counts: dict[str, int] = {}
-    for row in summary:
+    kept = []
+    below_min_active = no_quality_row = no_fa_ga = 0
+    for row in built:
         project = row["project"]
-        with open(out / "networks" / f"{_slug(project)}.edges", encoding="utf-8") as f:
-            records.append(project_record(project, members[project], read_edge_list(f)))
-        if project in quality_rows:
-            quality_counts[project] = int(quality_rows[project]["n_quality"])
-        else:
-            quality_counts[project] = 0
+        quality_row = quality_rows.get(project)
+        if quality_row is None:
             log.info("project %s has no quality row; treated as zero quality pages", project)
-
-    kept = filter_projects(records, quality_counts, config.min_active_nodes)
-    log.info("metrics: %d of %d projects kept after filtering", len(kept), len(records))
+        if int(row["active_nodes"]) < config.min_active_nodes:
+            below_min_active += 1
+        elif quality_row is None:
+            no_quality_row += 1
+        elif int(quality_row["n_quality"]) < 1:
+            no_fa_ga += 1
+        else:
+            kept.append((row, quality_row))
+    log.info(
+        "metrics: %d of %d projects kept; dropped %d below min_active_nodes (%d), "
+        "%d without a quality row, %d without FA/GA",
+        len(kept), len(built), below_min_active, config.min_active_nodes,
+        no_quality_row, no_fa_ga,
+    )
 
     header = [
         "project", "member_count", "active_nodes", "fraction",
@@ -516,15 +525,15 @@ def stage_metrics(config: PipelineConfig) -> int:
         "n_articles", "n_quality", "q_score",
     ]
     rows_out = []
-    for record in kept:
-        metrics = effective_information(record.network)
-        quality_row = quality_rows[record.project]
+    for row, quality_row in kept:
+        with open(out / "networks" / f"{_slug(row['project'])}.edges", encoding="utf-8") as f:
+            metrics = effective_information(read_edge_list(f))
         rows_out.append(
             [
-                record.project,
-                str(record.member_count),
-                str(record.active_count),
-                f"{record.fraction_in_network:.6f}",
+                row["project"],
+                row["member_count"],
+                row["active_nodes"],
+                row["fraction_in_network"],
                 f"{metrics.determinism_norm:.6f}",
                 f"{metrics.degeneracy_norm:.6f}",
                 f"{metrics.effective_information_norm:.6f}",

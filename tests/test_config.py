@@ -82,3 +82,27 @@ class TestPipelineConfig:
         config = PipelineConfig.from_file(path)
         assert config.projects == ["Asters"]
         assert config.p_exponent == 0.25
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"projects": "Birds"}', "projects"),
+            ('{"projects": ["Birds", 7]}', "projects"),
+            ('{"require_both_members": "false"}', "require_both_members"),
+            ('{"offline": "no"}', "offline"),
+            ('{"min_active_nodes": true}', "min_active_nodes"),
+            ('{"max_retries": 3.0}', "max_retries"),
+            ('{"request_interval": "1"}', "request_interval"),
+            ('{"p_exponent": false}', "p_exponent"),
+            ('{"api_base_url": null}', "api_base_url"),
+            ('{"project_aliases": {"Juniper trees": 1}}', "project_aliases"),
+            ('{"user_talk_query": ["action", "query"]}', "user_talk_query"),
+        ],
+    )
+    def test_from_json_rejects_wrong_types(self, text, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+            PipelineConfig.from_json(io.StringIO(text))
+
+    def test_from_json_takes_an_integer_for_a_number(self):
+        config = PipelineConfig.from_json(io.StringIO('{"p_exponent": 1, "request_interval": 2}'))
+        assert (config.p_exponent, config.request_interval) == (1, 2)

@@ -1,17 +1,9 @@
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicomm.graph import WeightedGraph
-from wikicomm.network import (
-    ProjectRecord,
-    build_networks,
-    filter_projects,
-    project_record,
-    write_project_summary,
-)
+from wikicomm.network import build_networks, summary_row
 
 from oracles import direct_networks
 
@@ -20,7 +12,7 @@ MEMBERS = {"A", "B", "C"}
 
 def project_network(interactions, members, require_both_members=True) -> WeightedGraph:
     """One project's network through the multi-project builder."""
-    return build_networks(interactions, {"P": members}, require_both_members)["P"]
+    return dict(build_networks(interactions, {"P": members}, require_both_members))["P"]
 
 
 def weights(g: WeightedGraph) -> dict[tuple[str, str], int]:
@@ -116,11 +108,11 @@ def interactions_and_projects(draw):
 @settings(max_examples=200, deadline=None)
 def test_one_pass_builder_matches_per_project_rescan(case, require_both_members):
     interactions, projects = case
-    networks = build_networks(iter(interactions), projects, require_both_members)
+    networks = dict(build_networks(iter(interactions), projects, require_both_members))
     # The oracle rescans one (author, owner) post per counted message.
     posts = [(author, owner) for author, owner, count in interactions for _ in range(count)]
     expected = direct_networks(posts, projects, require_both_members)
-    assert set(networks) == set(expected)
+    assert list(networks) == sorted(expected)
     for project, (nodes, edges) in expected.items():
         g = networks[project]
         assert g.nodes == nodes
@@ -129,80 +121,32 @@ def test_one_pass_builder_matches_per_project_rescan(case, require_both_members)
 
 def test_repeated_pairs_in_both_directions_add_up():
     interactions = [("A", "B", 2), ("B", "A", 3), ("A", "B", 1), ("A", "A", 5), ("C", "Z", 4)]
-    networks = build_networks(interactions, {"P": MEMBERS, "Q": {"C"}}, False)
+    networks = dict(build_networks(interactions, {"Q": {"C"}, "P": MEMBERS}, False))
+    assert list(networks) == ["P", "Q"]
     assert list(networks["P"].edges()) == [("A", "B", 6), ("C", "Z", 4)]
     assert list(networks["Q"].edges()) == [("C", "Z", 4)]
 
 
 class TestProjectRecord:
+    """The project's ``projects.csv`` row."""
+
     def test_fraction(self):
         g = project_network([("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "E", 1)],
                           set("ABCDEFGHIJ"))
-        record = project_record("P", set("ABCDEFGHIJ"), g)
-        assert record.member_count == 10
-        assert record.active_count == 5
-        assert record.fraction_in_network == pytest.approx(0.5)
+        assert summary_row("P", set("ABCDEFGHIJ"), g) == ("P", 10, 5, "0.500000")
 
     def test_all_isolated(self):
-        record = project_record("P", {"A", "B"}, WeightedGraph())
-        assert record.fraction_in_network == 0.0
+        assert summary_row("P", {"A", "B"}, WeightedGraph()) == ("P", 2, 0, "0.000000")
 
     def test_fraction_counts_only_members(self):
         g = project_network([("A", "Z", 1), ("A", "Y", 1)], MEMBERS, require_both_members=False)
-        record = project_record("P", MEMBERS, g)
-        assert record.active_count == 3
-        assert record.fraction_in_network == pytest.approx(1 / 3)
+        assert summary_row("P", MEMBERS, g) == ("P", 3, 3, "0.333333")
 
     def test_empty_member_set_errors(self):
         with pytest.raises(ValueError):
-            project_record("P", set(), WeightedGraph())
-
-
-def make_record(name: str, active: int) -> ProjectRecord:
-    edges = [(f"u{i}", "hub", 1) for i in range(active - 1)]
-    g = WeightedGraph.from_edges(edges) if edges else WeightedGraph()
-    members = set(g.nodes) | {"spectator"}
-    return project_record(name, members, g)
-
-
-class TestFilterProjects:
-    def test_below_threshold_dropped(self):
-        records = [make_record("small", 4)]
-        assert filter_projects(records, {"small": 3}) == []
-
-    def test_at_threshold_kept(self):
-        records = [make_record("ok", 5)]
-        kept = filter_projects(records, {"ok": 2})
-        assert [r.project for r in kept] == ["ok"]
-
-    def test_no_quality_pages_dropped(self):
-        records = [make_record("busy", 8)]
-        assert filter_projects(records, {"busy": 0}) == []
-
-    def test_missing_quality_entry_names_project(self):
-        records = [make_record("orphan", 6)]
-        with pytest.raises(KeyError, match="orphan"):
-            filter_projects(records, {})
-
-    def test_order_preserved_and_idempotent(self):
-        records = [make_record(f"p{i}", n) for i, n in enumerate([7, 4, 9, 5, 6])]
-        quality = {r.project: 1 for r in records}
-        kept = filter_projects(records, quality)
-        assert [r.project for r in kept] == ["p0", "p2", "p3", "p4"]
-        assert filter_projects(kept, quality) == kept
-
-    def test_custom_threshold(self):
-        records = [make_record("p", 3)]
-        assert filter_projects(records, {"p": 1}, min_active_nodes=3) == records
+            summary_row("P", set(), WeightedGraph())
 
 
 def test_summary_csv_format():
-    record = project_record(
-        "Storms", {"A", "B", "C", "D"}, project_network([("A", "B", 1)], {"A", "B"})
-    )
-    out = io.StringIO()
-    write_project_summary([record], out)
-    assert out.getvalue() == (
-        "project,member_count,active_nodes,fraction_in_network\n"
-        "Storms,4,2,0.500000\n"
-    )
+    g = project_network([("A", "B", 1)], {"A", "B"})
+    assert summary_row("Storms", {"A", "B", "C", "D"}, g) == ("Storms", 4, 2, "0.500000")

@@ -163,12 +163,13 @@ class TestGoldenRun:
             run_stage(stage, config)
         out = Path(config.output_dir)
         before = (out / "projects.csv").read_bytes()
+        write_csv = pipeline._write_csv
 
-        def write_one_line_then_fail(records, f):
-            f.write("project,member_count,active_nodes,fraction_in_network\n")
+        def write_header_then_fail(f, header, rows):
+            write_csv(f, header, [])
             raise OSError("disk full")
 
-        monkeypatch.setattr(pipeline, "write_project_summary", write_one_line_then_fail)
+        monkeypatch.setattr(pipeline, "_write_csv", write_header_then_fail)
         with pytest.raises(PipelineStageError, match="disk full"):
             run_stage("build", config)
         assert (out / "projects.csv").read_bytes() == before
@@ -234,6 +235,46 @@ class TestGoldenRun:
             "networks"
         ]
 
+    def test_slug_collision_fails_build_untouched(self, tmp_path):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build"]:
+            run_stage(stage, config)
+        out = Path(config.output_dir)
+        members = json.loads((out / "members.json").read_text(encoding="utf-8"))
+        # Both names write networks/Birds_Wading.edges.
+        members["Birds Wading"] = members["Birds/Wading"] = members["Herons"]
+        (out / "members.json").write_text(json.dumps(members), encoding="utf-8")
+        before = read_out(config)
+        with pytest.raises(PipelineStageError, match="slug collision for 'Birds/Wading'"):
+            run_stage("build", config)
+        assert read_out(config) == before
+        assert not (out / "networks.tmp").exists()
+
+    def test_metrics_never_opens_a_dropped_projects_network(self, tmp_path):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build", "quality"]:
+            run_stage(stage, config)
+        out = Path(config.output_dir)
+        # Orchids is dropped for 4 < 5 active nodes, Pines for no FA/GA page.
+        for project in ["Orchids", "Pines"]:
+            (out / "networks" / f"{project}.edges").write_text("not an edge list\n")
+        run_stage("metrics", config)
+        assert (out / "variables.csv").read_bytes() == (GOLDEN / "variables.csv").read_bytes()
+
+    def test_metrics_logs_the_filtering_funnel(self, tmp_path, caplog):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build", "quality"]:
+            run_stage(stage, config)
+        with caplog.at_level("INFO", logger="wikicomm.pipeline"):
+            run_stage("metrics", config)
+        assert caplog.messages == [
+            "metrics: 14 of 16 projects kept; dropped 1 below min_active_nodes (5), "
+            "0 without a quality row, 1 without FA/GA"
+        ]
+
     def test_build_on_work_dir_without_interactions_fails_untouched(self, tmp_path):
         # A work dir parsed by an older version has posts.jsonl but no interactions.tsv.
         config = miniwiki_config(tmp_path)
@@ -269,6 +310,64 @@ class TestGoldenRun:
         config = miniwiki_config(tmp_path)
         with pytest.raises(ConfigError):
             run_stage("launch", config)
+
+
+def write_metrics_workdir(out: Path, projects) -> None:
+    """A work dir with only ``projects.csv``, ``quality.csv`` and ``networks/``.
+
+    ``projects`` lists ``(project, active_nodes, n_quality)`` in the order of
+    ``projects.csv``; ``n_quality`` None leaves the project without a quality
+    row. Each network is a star of ``active_nodes`` nodes plus one isolated
+    member.
+    """
+    (out / "networks").mkdir(parents=True)
+    summary = ["project,member_count,active_nodes,fraction_in_network\n"]
+    quality = ["project,n_articles,n_quality,q_score\n"]
+    for project, active, n_quality in projects:
+        summary.append(f"{project},{active + 1},{active},{active / (active + 1):.6f}\n")
+        edges = "".join(f"{project}{i}\thub\t{i}\n" for i in range(1, active))
+        (out / "networks" / f"{project}.edges").write_text(edges + "spectator\t0\n")
+        if n_quality is not None:
+            quality.append(f"{project},4,{n_quality},{n_quality / 2:.6f}\n")
+    (out / "projects.csv").write_text("".join(summary))
+    (out / "quality.csv").write_text("".join(quality))
+
+
+METRICS_FILTER_CASES = {
+    "at_threshold_kept": ([("Ok", 5, 2)], 5, ["Ok"]),
+    "below_threshold_dropped": ([("Small", 4, 3)], 5, []),
+    "no_quality_pages_dropped": ([("Busy", 8, 0)], 5, []),
+    "no_quality_row_dropped": ([("Orphan", 6, None)], 5, []),
+    "custom_threshold": ([("Tiny", 3, 1)], 3, ["Tiny"]),
+    "input_order_preserved": (
+        [("Zinnias", 7, 1), ("Asters", 4, 1), ("Mosses", 9, 1), ("Ferns", 5, 1), ("Bees", 6, 1)],
+        5,
+        ["Zinnias", "Mosses", "Ferns", "Bees"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "projects, min_active_nodes, expected",
+    METRICS_FILTER_CASES.values(),
+    ids=METRICS_FILTER_CASES.keys(),
+)
+def test_metrics_filters_projects(tmp_path, projects, min_active_nodes, expected):
+    write_metrics_workdir(tmp_path, projects)
+    run_stage("metrics", PipelineConfig(output_dir=str(tmp_path), min_active_nodes=min_active_nodes))
+    with open(tmp_path / "projects.csv", newline="") as f:
+        built = {row["project"]: row for row in csv.DictReader(f)}
+    with open(tmp_path / "variables.csv", newline="") as f:
+        kept = list(csv.DictReader(f))
+    assert [row["project"] for row in kept] == expected
+    # The counts are copied from projects.csv as they are.
+    for row in kept:
+        summary = built[row["project"]]
+        assert (row["member_count"], row["active_nodes"], row["fraction"]) == (
+            summary["member_count"],
+            summary["active_nodes"],
+            summary["fraction_in_network"],
+        )
 
 
 # -- parse on one CPU and on a worker pool -----------------------------------
