@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import logging
 import math
@@ -258,8 +259,11 @@ def _line_chunks(path: Path) -> Iterator[tuple[int, Path, int, int]]:
             offset += len(data)
 
 
-def _chunk_records(chunk: tuple[int, Path, int, int]) -> Iterator[dict]:
-    """The page records of one chunk from :func:`_line_chunks`, read from its file."""
+def _chunk_records(chunk: tuple[int, Path, int, int], keys: Sequence[str]) -> Iterator[dict]:
+    """The page records of one chunk from :func:`_line_chunks`, read from its file.
+
+    Each record must hold a string at each of ``keys``.
+    """
     first_lineno, path, offset, size = chunk
     with open(path, "rb") as f:
         f.seek(offset)
@@ -272,13 +276,13 @@ def _chunk_records(chunk: tuple[int, Path, int, int]) -> Iterator[dict]:
     # Split at "\n" only: str.splitlines would also split at the U+2028 and
     # U+0085 that JSON strings may hold unescaped. A CRLF line keeps its
     # "\r", which read_pages_jsonl strips.
-    return read_pages_jsonl(text.split("\n"), start=first_lineno)
+    return read_pages_jsonl(text.split("\n"), start=first_lineno, keys=keys)
 
 
 def _project_members_chunk(chunk: tuple[int, Path, int, int]) -> dict[str, set[str]]:
     """The members found on a chunk of ``project_pages.jsonl`` lines, per project."""
     pages_by_project: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for record in _chunk_records(chunk):
+    for record in _chunk_records(chunk, ("project", "title", "wikitext")):
         pages_by_project[record["project"]].append((record["title"], record["wikitext"]))
     return {
         project: extract_project_members(pages) for project, pages in pages_by_project.items()
@@ -287,37 +291,47 @@ def _project_members_chunk(chunk: tuple[int, Path, int, int]) -> dict[str, set[s
 
 def _parse_talk_chunk(
     agents: frozenset[str], markers: Sequence[str], chunk: tuple[int, Path, int, int]
-) -> tuple[str, int, int, list[str]]:
+) -> tuple[str, int, int, int, int, list[str]]:
     """Count the posts of a chunk of ``talk_pages.jsonl`` lines.
 
-    Returns the chunk's interaction lines, its page and post counts, and why
-    each skipped record was skipped. A page's interaction lines give, per
-    author in order of first appearance, the number of its posts outside
-    mass-message threads; the owner's own posts are not counted. ``agents``
-    are the delivery agents' canonical usernames.
+    Returns the chunk's interaction lines; its page and post counts; the
+    posts dropped in mass-message threads and, of the others, the owners'
+    own posts; and why each skipped record was skipped. A page's interaction
+    lines give, per author in order of first appearance, the number of its
+    posts outside mass-message threads; the owner's own posts are not
+    counted. ``agents`` are the delivery agents' canonical usernames.
     """
     interactions = []
-    n_pages = n_posts = 0
+    n_pages = n_posts = n_mass = n_self = 0
     skipped = []
-    for record in _chunk_records(chunk):
+    for record in _chunk_records(chunk, ("title", "wikitext")):
         try:
             page = TalkPage.from_page(record["title"], record["wikitext"])
         except ValueError as exc:
             skipped.append(str(exc))
             continue
-        posts, counts = count_interactions(page, agents, markers)
+        posts, mass, counts = count_interactions(page, agents, markers)
         n_pages += 1
         n_posts += posts
+        n_mass += mass
+        n_self += posts - mass - sum(counts.values())
         owner = page.owner
         interactions.extend(f"{author}\t{owner}\t{n}\n" for author, n in counts.items())
-    return "".join(interactions), n_pages, n_posts, skipped
+    return "".join(interactions), n_pages, n_posts, n_mass, n_self, skipped
+
+
+def _call(task: Callable[[], object]) -> object:
+    return task()
 
 
 def stage_parse(config: PipelineConfig) -> dict:
     """Parse fetched wikitext into member sets and interaction counts.
 
-    The parsing runs on every CPU in the process's affinity mask; the outputs
-    are written in input order, so they do not depend on the CPU count.
+    The chunks of both dumps, project pages first, go through one stream of
+    tasks, so the workers start on the talk pages while the members are
+    merged. The parsing runs on every CPU in the process's affinity mask;
+    the outputs are written in input order, so they do not depend on the
+    CPU count.
     """
     out = _out(config)
     parse_chunk = functools.partial(
@@ -325,24 +339,28 @@ def stage_parse(config: PipelineConfig) -> dict:
         frozenset(canonical_username(a) for a in config.delivery_agents),
         config.mass_message_markers,
     )
+    project_chunks = list(_line_chunks(out / "project_pages.jsonl"))
+    tasks = itertools.chain(
+        (functools.partial(_project_members_chunk, chunk) for chunk in project_chunks),
+        (functools.partial(parse_chunk, chunk) for chunk in _line_chunks(out / "talk_pages.jsonl")),
+    )
     members: dict[str, set[str]] = defaultdict(set)
-    n_posts = 0
-    n_pages = 0
-    skipped = 0
+    n_pages = n_posts = n_mass = n_self = skipped = 0
     with _parse_pool() as ordered_map, _replaced_on_success(
         out / "members.json"
     ) as f_members, _replaced_on_success(out / "interactions.tsv") as f_interactions:
-        for found in ordered_map(_project_members_chunk, _line_chunks(out / "project_pages.jsonl")):
+        results = ordered_map(_call, tasks)
+        for found in itertools.islice(results, len(project_chunks)):
             for project, names in found.items():
                 members[project] |= names
         sorted_members = {project: sorted(names) for project, names in members.items()}
         f_members.write(json.dumps(sorted_members, indent=2, sort_keys=True) + "\n")
-        for interactions, pages, posts, reasons in ordered_map(
-            parse_chunk, _line_chunks(out / "talk_pages.jsonl")
-        ):
+        for interactions, pages, posts, mass, own, reasons in results:
             f_interactions.write(interactions)
             n_pages += pages
             n_posts += posts
+            n_mass += mass
+            n_self += own
             skipped += len(reasons)
             for reason in reasons:
                 log.warning("skipping non-user-talk record: %s", reason)
@@ -350,8 +368,18 @@ def stage_parse(config: PipelineConfig) -> dict:
     # no longer agree with the interactions just written.
     for name in ("posts.jsonl", "posts.jsonl.tmp"):
         (out / name).unlink(missing_ok=True)
-    log.info("parse: %d pages -> %d posts (%d records skipped)", n_pages, n_posts, skipped)
-    return {"pages": n_pages, "posts": n_posts, "skipped": skipped}
+    log.info(
+        "parse: %d pages -> %d posts (%d records skipped); %d posts kept; "
+        "dropped %d in mass-message threads, %d self-posts",
+        n_pages, n_posts, skipped, n_posts - n_mass - n_self, n_mass, n_self,
+    )
+    return {
+        "pages": n_pages,
+        "posts": n_posts,
+        "mass_message_posts": n_mass,
+        "self_posts": n_self,
+        "skipped": skipped,
+    }
 
 
 # -- build ------------------------------------------------------------------

@@ -44,8 +44,11 @@ DEFAULT_DELIVERY_AGENTS = ("MediaWiki message delivery",)
 DEFAULT_MASS_MESSAGE_MARKERS = ("Message sent by User:",)
 
 _HEADING_RE = re.compile(r"^==([^=\n][^\n]*?)==[ \t]*$", re.MULTILINE)
+# The name group is greedy, so it ends at the first character it excludes
+# instead of trying the rest of the pattern after each character. It keeps
+# the name's trailing whitespace, which canonical_username drops.
 _USER_LINK_RE = re.compile(
-    r"\[\[\s*[Uu]ser(?:[ _][Tt]alk)?\s*:\s*([^|\[\]#/]+?)\s*(?:[|#/][^\[\]]*)?\]\]",
+    r"\[\[\s*[Uu]ser(?:[ _][Tt]alk)?\s*:\s*([^|\[\]#/]+)(?:[|#/][^\[\]]*)?\]\]",
     re.IGNORECASE,
 )
 _MONTHS = {
@@ -208,6 +211,24 @@ def parse_signature(segment: str) -> Optional[Signature]:
     return None
 
 
+def _headings(text: str) -> Iterator[re.Match]:
+    """The matches of ``_HEADING_RE.finditer(text)``, tried only where a line opens with ``==``.
+
+    ``finditer`` would try the ``^``-anchored pattern at every character.
+    """
+    match = _HEADING_RE.match
+    if text.startswith("=="):
+        heading = match(text)
+        if heading:
+            yield heading
+    pos = text.find("\n==")
+    while pos >= 0:
+        heading = match(text, pos + 1)
+        if heading:
+            yield heading
+        pos = text.find("\n==", pos + 3)
+
+
 def _thread_spans(text: str) -> list[tuple[str, int, int]]:
     """``(heading, body start, body end)`` per level-2 thread of a talk page.
 
@@ -215,7 +236,7 @@ def _thread_spans(text: str) -> list[tuple[str, int, int]]:
     heading (only if it contains any non-whitespace). A body starts where
     its heading line ends and ends where the next heading line starts.
     """
-    matches = list(_HEADING_RE.finditer(text))
+    matches = list(_headings(text))
     first = matches[0].start() if matches else len(text)
     spans = [("", 0, first)] if text[:first].strip() else []
     ends = [m.start() for m in matches[1:]] + [len(text)]
@@ -223,18 +244,21 @@ def _thread_spans(text: str) -> list[tuple[str, int, int]]:
     return spans
 
 
-def _signed_threads(text: str) -> list[tuple[str, int, int, list[tuple[str, datetime, int]]]]:
-    """``(heading, body start, body end, signatures)`` per thread, from one scan of the page.
+def _signed_threads(
+    text: str, signatures: Iterable[tuple[str, datetime, int]]
+) -> list[tuple[str, int, int, list[tuple[str, datetime, int]]]]:
+    """``(heading, body start, body end, signatures)`` per thread of a talk page.
 
-    Each signature goes to the thread whose body holds its end; signatures
-    on heading lines belong to no thread. A timestamp never spans a heading
-    line's ``==`` and cannot start before a body's leading newline, so this
-    finds what a scan of each body alone would find.
+    ``signatures`` are those of ``_iter_signatures(text, skip_headings=True)``,
+    one scan of the whole page. Each goes to the thread whose body holds its
+    end; signatures on heading lines belong to no thread. A timestamp never
+    spans a heading line's ``==`` and cannot start before a body's leading
+    newline, so this finds what a scan of each body alone would find.
     """
     spans = _thread_spans(text)
     starts = [start for _, start, _ in spans]
     threads = [(heading, start, end, []) for heading, start, end in spans]
-    for signature in _iter_signatures(text, skip_headings=True):
+    for signature in signatures:
         threads[bisect_left(starts, signature[2]) - 1][3].append(signature)
     return threads
 
@@ -329,8 +353,9 @@ def parse_talk_page(
     agents = {canonical_username(a) for a in delivery_agents}
     text = page.wikitext
     threads = []
-    for heading, start, end, signatures in _signed_threads(text):
-        thread = DiscussionThread(heading, text[start:end], _posts(text, start, signatures))
+    signatures = _iter_signatures(text, skip_headings=True)
+    for heading, start, end, signed in _signed_threads(text, signatures):
+        thread = DiscussionThread(heading, text[start:end], _posts(text, start, signed))
         thread.is_mass_message = _is_mass_message(
             [p.author for p in thread.posts], thread.body, agents, markers
         )
@@ -340,25 +365,35 @@ def parse_talk_page(
 
 def count_interactions(
     page: TalkPage, agents: Collection[str], markers: Sequence[str]
-) -> tuple[int, dict[str, int]]:
+) -> tuple[int, int, dict[str, int]]:
     """Count a talk page's posts as :func:`parse_talk_page` finds them, building none.
 
     ``agents`` are the delivery agents' canonical usernames. Returns the
-    number of posts and, per author other than the page owner in order of
-    first post, the number of their posts outside mass-message threads.
+    number of posts, the number of those in mass-message threads, and, per
+    author other than the page owner in order of first post, the number of
+    their posts outside mass-message threads.
+
+    Only a thread holding a marker or an agent's signature is a mass
+    message, so the page is split into threads only when its text holds a
+    marker or an agent signed it; otherwise every post counts.
     """
     text = page.wikitext
+    signatures = list(_iter_signatures(text, skip_headings=True))
+    kept = signatures
+    if any(marker in text for marker in markers) or any(
+        author in agents for author, _, _ in signatures
+    ):
+        kept = []
+        for _, start, end, signed in _signed_threads(text, signatures):
+            authors = [author for author, _, _ in signed]
+            if not _is_mass_message(authors, text[start:end], agents, markers):
+                kept.extend(signed)
     owner = page.owner
-    n_posts = 0
     counts: dict[str, int] = {}
-    for _, start, end, signatures in _signed_threads(text):
-        n_posts += len(signatures)
-        authors = [author for author, _, _ in signatures]
-        if authors and not _is_mass_message(authors, text[start:end], agents, markers):
-            for author in authors:
-                if author != owner:
-                    counts[author] = counts.get(author, 0) + 1
-    return n_posts, counts
+    for author, _, _ in kept:
+        if author != owner:
+            counts[author] = counts.get(author, 0) + 1
+    return len(signatures), len(signatures) - len(kept), counts
 
 
 def _is_talk_title(title: str) -> bool:
@@ -387,8 +422,10 @@ def extract_project_members(project_pages: Iterable[tuple[str, str]]) -> set[str
     return members
 
 
-def read_pages_jsonl(source: Iterable[str], start: int = 1) -> Iterator[dict]:
-    """Read page dumps: one JSON object per line with ``title`` and ``wikitext``.
+def read_pages_jsonl(
+    source: Iterable[str], start: int = 1, keys: Sequence[str] = ("title", "wikitext")
+) -> Iterator[dict]:
+    """Read page dumps: one JSON object per line, with a string value at each of ``keys``.
 
     ``start`` is the number of the first line, so that errors in a slice of a
     file name the line's number in the whole file.
@@ -401,6 +438,8 @@ def read_pages_jsonl(source: Iterable[str], start: int = 1) -> Iterator[dict]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        if "title" not in obj or "wikitext" not in obj:
-            raise ValueError(f"line {lineno}: page record needs title and wikitext")
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(k), str) for k in keys):
+            raise ValueError(
+                f"line {lineno}: page record needs a JSON object with string {', '.join(keys)}"
+            )
         yield obj

@@ -399,6 +399,17 @@ def reference_records(config, records) -> list[dict]:
     ]
 
 
+def reference_post_counts(config, records) -> dict:
+    """The parse funnel as the oracle's post records give it: all posts, those in
+    mass-message threads, and the owners' own posts outside them."""
+    posts = reference_records(config, records)
+    return {
+        "posts": len(posts),
+        "mass_message_posts": sum(p["mass_message"] for p in posts),
+        "self_posts": sum(not p["mass_message"] and p["author"] == p["page_owner"] for p in posts),
+    }
+
+
 def reference_interactions(config, records) -> str:
     """``interactions.tsv`` as the oracle's post records give it: per page, per author in
     order of first post, the posts outside mass-message threads, the owner's left out."""
@@ -458,8 +469,8 @@ class TestParallelParse:
         in_process = parse_on(IN_PROCESS, config, monkeypatch), parse_outputs(config)
         assert pooled == in_process
         records = load_jsonl(MINIWIKI / "talk_pages.jsonl")
-        posts = len(reference_records(config, records))
-        assert pooled[0] == {"pages": 93, "posts": posts, "skipped": 0}
+        counts = reference_post_counts(config, records)
+        assert pooled[0] == {"pages": 93, **counts, "skipped": 0}
 
     def test_routes_write_identical_bytes_across_chunks(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
@@ -477,8 +488,8 @@ class TestParallelParse:
             project: sorted(reference_project_members(pages))
             for project, pages in pages_by_project.items()
         }
-        posts = len(reference_records(config, records))
-        assert pooled[0] == {"pages": 4 * 93 + 1, "posts": posts, "skipped": 0}
+        counts = reference_post_counts(config, records)
+        assert pooled[0] == {"pages": 4 * 93 + 1, **counts, "skipped": 0}
 
     @ROUTES
     def test_malformed_line_fails_parse_and_keeps_previous_outputs(
@@ -497,6 +508,49 @@ class TestParallelParse:
             parse_on(cpus, config, monkeypatch)
         assert parse_outputs(config) == before
         assert sorted(out.glob("*.tmp")) == []
+
+    @ROUTES
+    @pytest.mark.parametrize("dump, line", [
+        ("talk_pages.jsonl", "5"),
+        ("talk_pages.jsonl", "null"),
+        ("talk_pages.jsonl", "[]"),
+        ("talk_pages.jsonl", '"a title and its wikitext"'),
+        ("talk_pages.jsonl", '{"title": 3, "wikitext": "x"}'),
+        ("talk_pages.jsonl", '{"title": "User talk:Ann", "wikitext": null}'),
+        ("project_pages.jsonl", '{"title": "Wikipedia:WikiProject Birds", "wikitext": "x"}'),
+    ], ids=["number", "null", "array", "string", "number_title", "null_wikitext", "no_project"])
+    def test_record_of_the_wrong_shape_fails_parse_naming_its_line(
+        self, tmp_path, monkeypatch, cpus, dump, line
+    ):
+        config = miniwiki_config(tmp_path)
+        seed_multichunk_workdir(config, monkeypatch)
+        parse_on(cpus, config, monkeypatch)
+        before = parse_outputs(config)
+        out = Path(config.output_dir)
+        lines = (out / dump).read_text(encoding="utf-8").splitlines(keepends=True)
+        middle = len(lines) // 2
+        lines[middle] = line + "\n"
+        (out / dump).write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(
+            PipelineStageError, match=rf"'parse'.*line {middle + 1}: page record needs"
+        ):
+            parse_on(cpus, config, monkeypatch)
+        assert parse_outputs(config) == before
+        assert sorted(out.glob("*.tmp")) == []
+
+    @ROUTES
+    def test_parse_logs_the_post_funnel(self, tmp_path, monkeypatch, caplog, cpus):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        with caplog.at_level("INFO", logger="wikicomm.pipeline"):
+            parse_on(cpus, config, monkeypatch)
+        counts = reference_post_counts(config, load_jsonl(MINIWIKI / "talk_pages.jsonl"))
+        posts, mass, own = counts["posts"], counts["mass_message_posts"], counts["self_posts"]
+        assert mass > 0 and own > 0
+        assert caplog.messages == [
+            f"parse: 93 pages -> {posts} posts (0 records skipped); {posts - mass - own} posts "
+            f"kept; dropped {mass} in mass-message threads, {own} self-posts"
+        ]
 
     @pytest.mark.parametrize("multichunk", [False, True], ids=["miniwiki", "multichunk"])
     def test_interactions_match_posts_on_every_route_and_chunk_size(
@@ -546,12 +600,12 @@ class TestParallelParse:
             {"title": "User talk:Owner", "wikitext": owner_page},
             {"title": "User talk:Cal", "wikitext": "Hey [[User:Bea]] 09:00, 1 May 2021 (UTC)\n"},
         ])
-        interactions, pages, posts, skipped = pipeline._parse_talk_chunk(
+        interactions, pages, posts, mass, own, skipped = pipeline._parse_talk_chunk(
             {"MediaWiki message delivery"},
             ["Message sent by User:"],
             (1, path, 0, path.stat().st_size),
         )
-        assert (pages, posts, skipped) == (2, 6, [])
+        assert (pages, posts, mass, own, skipped) == (2, 6, 1, 1, [])
         assert interactions == "Cal\tOwner\t2\nBea\tOwner\t1\nBea\tCal\t1\n"
 
     @given(wikitexts)
@@ -561,12 +615,15 @@ class TestParallelParse:
         record = {"title": "User talk:Zoë_Ng/Archive", "wikitext": text}
         path = tmp_path_factory.getbasetemp() / "one_page.jsonl"
         write_jsonl(path, [record])
-        interactions, pages, posts, skipped = pipeline._parse_talk_chunk(
+        interactions, pages, posts, mass, own, skipped = pipeline._parse_talk_chunk(
             frozenset(config.delivery_agents),
             config.mass_message_markers,
             (1, path, 0, path.stat().st_size),
         )
-        assert (pages, posts, skipped) == (1, len(reference_records(config, [record])), [])
+        counts = reference_post_counts(config, [record])
+        assert (pages, posts, mass, own, skipped) == (
+            1, counts["posts"], counts["mass_message_posts"], counts["self_posts"], []
+        )
         assert interactions == reference_interactions(config, [record])
 
     def test_dead_worker_fails_parse_instead_of_hanging(self, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -7,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wikicomm.wikitext as wikitext
 from wikicomm.wikitext import (
     DEFAULT_DELIVERY_AGENTS,
     DEFAULT_MASS_MESSAGE_MARKERS,
     DiscussionThread,
     Post,
     TalkPage,
+    _HEADING_RE,
     _TIMESTAMP_RE,
+    _headings,
     _timestamp_matches,
     canonical_username,
     count_interactions,
@@ -111,7 +115,7 @@ class TestParseSignature:
         with caplog.at_level("WARNING", logger="wikicomm.wikitext"):
             counted = count_interactions(page, set(), [])
         assert caplog.messages == [body_warning]
-        assert counted == (1, {"B": 1})
+        assert counted == (1, 0, {"B": 1})
         caplog.clear()
         with caplog.at_level("WARNING", logger="wikicomm.wikitext"):
             members = extract_project_members([("Wikipedia:WikiProject X", text)])
@@ -243,6 +247,14 @@ class TestReadPagesJsonl:
         with pytest.raises(ValueError, match="^line 12: page record needs"):
             list(read_pages_jsonl([good, '{"title": "User talk:C"}\n'], start=11))
 
+    def test_keys_name_the_fields_a_record_needs(self):
+        record = '{"project": "Birds", "title": "Wikipedia:WikiProject Birds", "wikitext": ""}'
+        keys = ("project", "title", "wikitext")
+        assert [r["project"] for r in read_pages_jsonl([record], keys=keys)] == ["Birds"]
+        for bad in ('{"title": "T", "wikitext": ""}', '{"project": 1, "title": "T", "wikitext": ""}'):
+            with pytest.raises(ValueError, match="^line 1: page record needs .* project"):
+                list(read_pages_jsonl([bad], keys=keys))
+
     def test_blank_lines_skipped(self):
         lines = ["\n", '{"title": "User talk:A", "wikitext": "x"}\n', "  \n"]
         assert list(read_pages_jsonl(lines)) == [{"title": "User talk:A", "wikitext": "x"}]
@@ -301,6 +313,118 @@ class TestExtractProjectMembers:
             extract_project_members([("Wikipedia talk:WikiProject X", "")])
         with pytest.raises(ValueError):
             extract_project_members([("Wikipedia:WikiProject X/Talk", "")])
+
+
+# -- cases the fast scan must agree with the reference parser on ---------------
+
+
+def reference_counts(text: str, title: str = "User talk:X"):
+    """``count_interactions`` of a page, as the reference parser's post records give it."""
+    posts = [
+        json.loads(line)
+        for line in reference_posts_jsonl(
+            title, text, DEFAULT_DELIVERY_AGENTS, DEFAULT_MASS_MESSAGE_MARKERS
+        ).splitlines()
+    ]
+    kept = Counter(
+        p["author"] for p in posts if not p["mass_message"] and p["author"] != p["page_owner"]
+    )
+    return len(posts), sum(p["mass_message"] for p in posts), list(kept.items())
+
+
+def counted(text: str, title: str = "User talk:X"):
+    posts, mass, counts = count_interactions(
+        TalkPage.from_page(title, text),
+        {canonical_username(a) for a in DEFAULT_DELIVERY_AGENTS},
+        DEFAULT_MASS_MESSAGE_MARKERS,
+    )
+    return posts, mass, list(counts.items())
+
+
+def agrees_with_reference(text: str) -> None:
+    assert page_jsonl(text) == reference_posts_jsonl(
+        "User talk:X", text, DEFAULT_DELIVERY_AGENTS, DEFAULT_MASS_MESSAGE_MARKERS
+    )
+    assert counted(text) == reference_counts(text)
+    pages = [("Wikipedia:WikiProject X", text)]
+    assert extract_project_members(pages) == reference_project_members(pages)
+
+
+@pytest.mark.parametrize("link, user", [
+    ("[[User: ]]", None),
+    ("[[User:Foo \t|x]]", "Foo"),
+    ("[[User:Foo /sub]]", "Foo"),
+    ("[[user talk:foo#top|f]]", "Foo"),
+    ("[[USER:Foo]]", "Foo"),
+])
+def test_user_link_forms(link, user):
+    text = f"Hi {link} 10:00, 1 May 2021 (UTC)\n"
+    signature = parse_signature(text)
+    assert (signature and signature.user) == user
+    agrees_with_reference(text)
+
+
+@pytest.mark.parametrize("text, headings", [
+    ("== A ==\nhi [[User:Ann]] 10:00, 1 May 2021 (UTC)\n== B ==\nx\n", ["A", "B"]),
+    (
+        "== A ==\nhi [[User:Ann]] 10:00, 1 May 2021 (UTC)\n=== sub ===\n"
+        ": re [[User:Bo]] 11:00, 1 May 2021 (UTC)\n",
+        ["A"],
+    ),
+    ("intro == not a heading ==\n[[User:Ann]] 10:00, 1 May 2021 (UTC)\n", [""]),
+    (
+        "== A ==\r\nhi [[User:Ann]] 10:00, 1 May 2021 (UTC)\r\n== B ==\r\n"
+        "[[User:Bo]] 11:00, 1 May 2021 (UTC)\r\n",
+        [""],
+    ),
+    (
+        "== A ==\nhi [[User:Ann]] 10:00, 1 May 2021 (UTC)\n== B ==  \n"
+        "[[User:Bo]] 11:00, 1 May 2021 (UTC)\n",
+        ["A", "B"],
+    ),
+], ids=["at_offset_0", "subsection_inside", "mid_line", "crlf", "trailing_blanks"])
+def test_heading_cases(text, headings):
+    page = TalkPage.from_page("User talk:X", text)
+    assert [t.heading for t in split_threads(page)] == headings
+    agrees_with_reference(text)
+
+
+MARKER = "<!-- Message sent by User:Coordinator@enwiki -->"
+
+
+@pytest.mark.parametrize("text, thread_path", [
+    (
+        "Hi [[User:Ann]] 10:00, 1 May 2021 (UTC)\n== A ==\n[[User:Bo]] 11:00, 1 May 2021 (UTC)\n"
+        ": me [[User:X]] 12:00, 1 May 2021 (UTC)\n: [[User:Ann]] 13:00, 1 May 2021 (UTC)\n",
+        False,
+    ),
+    (
+        f"== News {MARKER} ==\nIssue 1 [[User:Ann]] 10:00, 1 May 2021 (UTC)\n"
+        "== B ==\n[[User:Bo]] 11:00, 1 May 2021 (UTC)\n",
+        True,
+    ),
+    (
+        "== A ==\n[[User:Ann]] 10:00, 1 May 2021 (UTC)\n"
+        f"== News ==\nIssue 1 [[User:Bo]] 11:00, 1 May 2021 (UTC) {MARKER}\n"
+        ": thanks [[User:X]] 12:00, 1 May 2021 (UTC)\n"
+        "== C ==\n[[User:Bo]] 13:00, 1 May 2021 (UTC)\n: [[User:X]] 14:00, 1 May 2021 (UTC)\n",
+        True,
+    ),
+    (
+        "== Newsletter ==\nIssue 2 [[User:MediaWiki_message_delivery|MMD]] 10:00, 1 May 2021 (UTC)\n"
+        ": [[User:Ann]] 10:30, 1 May 2021 (UTC)\n"
+        "== B ==\n[[User:Ann]] 11:00, 1 May 2021 (UTC)\n",
+        True,
+    ),
+], ids=["no_marker_no_agent", "marker_in_heading_only", "marker_in_one_of_three", "agent_signed"])
+def test_threads_are_found_only_where_a_thread_can_be_a_mass_message(
+    monkeypatch, text, thread_path
+):
+    calls = []
+    spans = wikitext._thread_spans
+    monkeypatch.setattr(wikitext, "_thread_spans", lambda t: calls.append(1) or spans(t))
+    assert counted(text) == reference_counts(text)
+    assert bool(calls) == thread_path
 
 
 # -- whole-corpus golden test -------------------------------------------------
@@ -441,6 +565,15 @@ def test_anchored_timestamp_scan_matches_plain_finditer(text):
     assert [m.span() for m in _timestamp_matches(text)] == [
         m.span() for m in _TIMESTAMP_RE.finditer(text)
     ]
+
+
+@given(wikitexts)
+@settings(max_examples=300, deadline=None)
+def test_heading_scan_matches_plain_finditer(text):
+    for page in (text, text.replace("\n", "\r\n")):
+        assert [m.span() for m in _headings(page)] == [
+            m.span() for m in _HEADING_RE.finditer(page)
+        ]
 
 
 # Characters json.dumps treats specially: quote, backslash, every control
