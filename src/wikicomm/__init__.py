@@ -17,19 +17,7 @@ from .stats import (
     ols_fit,
     pearson_r,
 )
-from .wikitext import (
-    DiscussionThread,
-    Post,
-    Signature,
-    TalkPage,
-    canonical_username,
-    extract_posts,
-    extract_project_members,
-    is_mass_message,
-    parse_signature,
-    parse_talk_page,
-    split_threads,
-)
+from .wikitext import TalkPage, canonical_username, extract_project_members
 
 __all__ = [
     "__version__",
@@ -37,15 +25,7 @@ __all__ = [
     "StructureMetrics",
     "effective_information",
     "TalkPage",
-    "DiscussionThread",
-    "Post",
-    "Signature",
     "canonical_username",
-    "parse_signature",
-    "split_threads",
-    "extract_posts",
-    "is_mass_message",
-    "parse_talk_page",
     "extract_project_members",
     "build_networks",
     "Grade",

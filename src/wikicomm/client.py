@@ -9,6 +9,8 @@ holding the key and the fetch instant, then the payload bytes as received.
 Caches written by earlier versions, which kept each response as a
 ``<sha256>.body`` and ``<sha256>.meta.json`` pair, are still read.
 The ``session`` constructor argument is the seam tests use to stay offline.
+``requests`` is imported only when the client builds its own session, on
+its first live fetch, so offline runs never load the HTTP stack.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .config import PipelineConfig
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = ["FetchExhaustedError", "DataError", "CacheEntry", "ResponseCache", "MediaWikiClient"]
 
@@ -142,6 +145,8 @@ class MediaWikiClient:
 
     def _ensure_session(self) -> requests.Session:
         if self._session is None:
+            import requests
+
             self._session = requests.Session()
             self._session.headers.update({"User-Agent": self.config.user_agent})
         return self._session
@@ -186,7 +191,7 @@ class MediaWikiClient:
                 )
                 status = response.status_code
                 payload = response.content
-            except requests.RequestException as exc:
+            except OSError as exc:  # requests.RequestException subclasses it
                 last_error = str(exc)
                 log.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue

@@ -15,21 +15,13 @@ import json
 import logging
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 __all__ = [
-    "Signature",
-    "Post",
-    "DiscussionThread",
     "TalkPage",
     "canonical_username",
-    "parse_signature",
-    "split_threads",
-    "extract_posts",
-    "is_mass_message",
-    "parse_talk_page",
     "count_interactions",
     "extract_project_members",
     "read_pages_jsonl",
@@ -87,34 +79,6 @@ def canonical_username(raw: str) -> str:
     if not name:
         return ""
     return name[0].upper() + name[1:]
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Author attribution parsed from a user-namespace link plus UTC timestamp."""
-
-    user: str
-    timestamp: datetime
-
-
-@dataclass(frozen=True)
-class Post:
-    """One signed message: author, signing time, indentation depth."""
-
-    author: str
-    timestamp: datetime
-    depth: int
-    is_template_message: bool = False
-
-
-@dataclass
-class DiscussionThread:
-    """A talk-page section: heading, raw body, and the posts parsed from it."""
-
-    heading: str
-    body: str
-    posts: list[Post] = field(default_factory=list)
-    is_mass_message: bool = False
 
 
 @dataclass(frozen=True)
@@ -204,13 +168,6 @@ def _iter_signatures(
         yield user, ts, ts_match.end()
 
 
-def parse_signature(segment: str) -> Optional[Signature]:
-    """Return the first signature in ``segment``, or None if there is none."""
-    for user, timestamp, _ in _iter_signatures(segment):
-        return Signature(user=user, timestamp=timestamp)
-    return None
-
-
 def _headings(text: str) -> Iterator[re.Match]:
     """The matches of ``_HEADING_RE.finditer(text)``, tried only where a line opens with ``==``.
 
@@ -263,112 +220,25 @@ def _signed_threads(
     return threads
 
 
-def split_threads(page: TalkPage) -> list[DiscussionThread]:
-    """Segment a talk page into threads at level-2 headings.
-
-    Content before the first heading forms an implicit thread with an empty
-    heading (only if it contains any non-whitespace). Lower-level headings
-    (``===`` and deeper) stay inside their parent thread.
-    """
-    text = page.wikitext
-    return [
-        DiscussionThread(heading=heading, body=text[start:end])
-        for heading, start, end in _thread_spans(text)
-    ]
-
-
-def _first_content_line(text: str, start: int, end: int) -> str:
-    # Blank lines and subsection headings are structure, not post content.
-    while start < end:
-        stop = text.find("\n", start, end)
-        if stop < 0:
-            stop = end
-        line = text[start:stop]
-        content = line.lstrip()
-        if content and not content.startswith("="):
-            return line
-        start = stop + 1
-    return ""
-
-
-def _posts(
-    text: str, cursor: int, signatures: Iterable[tuple[str, datetime, int]]
-) -> list[Post]:
-    """The posts that ``signatures`` end, the first of them starting at ``cursor``."""
-    posts: list[Post] = []
-    for author, timestamp, end in signatures:
-        first = _first_content_line(text, cursor, end)
-        content = first.lstrip(":*")
-        posts.append(
-            Post(author, timestamp, len(first) - len(content), content.lstrip().startswith("{{"))
-        )
-        cursor = end
-    return posts
-
-
-def extract_posts(body: str) -> list[Post]:
-    """Split a thread body at signatures; unsigned trailing text yields no post.
-
-    Each post runs from the end of the previous signature to the end of its
-    own; depth is the count of leading ``:``/``*`` on the post's first
-    content line (blank and subsection-heading lines are skipped).
-    """
-    return _posts(body, 0, _iter_signatures(body))
-
-
-def is_mass_message(
-    thread: DiscussionThread,
-    delivery_agents: Sequence[str] = DEFAULT_DELIVERY_AGENTS,
-    markers: Sequence[str] = DEFAULT_MASS_MESSAGE_MARKERS,
-) -> bool:
-    """True for bot-delivered bulk drops (newsletters etc.).
-
-    A thread is a mass message when any post author is a configured delivery
-    agent or the body contains a configured delivery marker. Template
-    messages signed by a person (warnings, barnstars, welcomes) are not mass
-    messages.
-    """
-    return _is_mass_message(
-        [p.author for p in thread.posts],
-        thread.body,
-        {canonical_username(a) for a in delivery_agents},
-        markers,
-    )
-
-
 def _is_mass_message(
     authors: Iterable[str], body: str, agents: Collection[str], markers: Sequence[str]
 ) -> bool:
+    """True for a bot-delivered bulk drop (newsletter etc.): a delivery agent
+    signed the thread or its body holds a delivery marker. Template messages
+    signed by a person (warnings, barnstars, welcomes) are not mass messages.
+    """
     if any(author in agents for author in authors):
         return True
     return any(marker in body for marker in markers)
 
 
-def parse_talk_page(
-    page: TalkPage,
-    delivery_agents: Sequence[str] = DEFAULT_DELIVERY_AGENTS,
-    markers: Sequence[str] = DEFAULT_MASS_MESSAGE_MARKERS,
-) -> list[DiscussionThread]:
-    """Fully parse a talk page: threads, posts, and mass-message flags."""
-    agents = {canonical_username(a) for a in delivery_agents}
-    text = page.wikitext
-    threads = []
-    signatures = _iter_signatures(text, skip_headings=True)
-    for heading, start, end, signed in _signed_threads(text, signatures):
-        thread = DiscussionThread(heading, text[start:end], _posts(text, start, signed))
-        thread.is_mass_message = _is_mass_message(
-            [p.author for p in thread.posts], thread.body, agents, markers
-        )
-        threads.append(thread)
-    return threads
-
-
 def count_interactions(
     page: TalkPage, agents: Collection[str], markers: Sequence[str]
 ) -> tuple[int, int, dict[str, int]]:
-    """Count a talk page's posts as :func:`parse_talk_page` finds them, building none.
+    """Count a talk page's posts, building none.
 
-    ``agents`` are the delivery agents' canonical usernames. Returns the
+    A post is a signature outside the page's level-2 heading lines, and it
+    belongs to the thread whose body holds it. ``agents`` are the delivery agents' canonical usernames. Returns the
     number of posts, the number of those in mass-message threads, and, per
     author other than the page owner in order of first post, the number of
     their posts outside mass-message threads.

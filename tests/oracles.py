@@ -10,6 +10,11 @@ exactly, through the same equations in rational arithmetic), the
 incomplete beta from its hypergeometric power series instead of the
 continued fraction, and quality counts from a list of assessment records
 deduplicated and then counted one project at a time.
+
+One section is not a reference: the post-level view of the package's own
+parser (``parse_talk_page`` and its parts), built from the package's
+signature scan and thread split, so that its posts can be compared one by
+one with the first parser's and with the annotated corpus.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ import json
 import math
 import re
 from collections import namedtuple
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from json.encoder import encode_basestring
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -183,8 +190,137 @@ def reference_posts_jsonl(title: str, wikitext: str, delivery_agents, markers) -
     return "".join(lines)
 
 
+# -- the package's parser, post by post ---------------------------------------
+# wikicomm is imported inside these functions: the benchmark's output checker
+# imports this module for its walk metrics without the package on its path.
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Author attribution parsed from a user-namespace link plus UTC timestamp."""
+
+    user: str
+    timestamp: datetime
+
+
+@dataclass(frozen=True)
+class Post:
+    """One signed message: author, signing time, indentation depth."""
+
+    author: str
+    timestamp: datetime
+    depth: int
+    is_template_message: bool = False
+
+
+@dataclass
+class DiscussionThread:
+    """A talk-page section: heading, raw body, and the posts parsed from it."""
+
+    heading: str
+    body: str
+    posts: list[Post] = field(default_factory=list)
+    is_mass_message: bool = False
+
+
+def parse_signature(segment: str) -> Optional[Signature]:
+    """The first signature in ``segment``, or None if there is none."""
+    from wikicomm.wikitext import _iter_signatures
+
+    for user, timestamp, _ in _iter_signatures(segment):
+        return Signature(user=user, timestamp=timestamp)
+    return None
+
+
+def split_threads(page) -> list[DiscussionThread]:
+    """A talk page's level-2 threads, without posts.
+
+    Content before the first heading forms an implicit thread with an empty
+    heading (only if it holds any non-whitespace). Lower-level headings
+    (``===`` and deeper) stay inside their parent thread.
+    """
+    from wikicomm.wikitext import _signed_threads
+
+    text = page.wikitext
+    return [
+        DiscussionThread(heading, text[start:end])
+        for heading, start, end, _ in _signed_threads(text, ())
+    ]
+
+
+def _first_content_line(text: str, start: int, end: int) -> str:
+    # Blank lines and subsection headings are structure, not post content.
+    while start < end:
+        stop = text.find("\n", start, end)
+        if stop < 0:
+            stop = end
+        line = text[start:stop]
+        content = line.lstrip()
+        if content and not content.startswith("="):
+            return line
+        start = stop + 1
+    return ""
+
+
+def _posts(text: str, cursor: int, signatures) -> list[Post]:
+    """The posts that ``signatures`` end, the first of them starting at ``cursor``."""
+    posts: list[Post] = []
+    for author, timestamp, end in signatures:
+        first = _first_content_line(text, cursor, end)
+        content = first.lstrip(":*")
+        posts.append(
+            Post(author, timestamp, len(first) - len(content), content.lstrip().startswith("{{"))
+        )
+        cursor = end
+    return posts
+
+
+def extract_posts(body: str) -> list[Post]:
+    """Split a thread body at signatures; unsigned trailing text yields no post.
+
+    Each post runs from the end of the previous signature to the end of its
+    own; depth is the count of leading ``:``/``*`` on the post's first
+    content line (blank and subsection-heading lines are skipped).
+    """
+    from wikicomm.wikitext import _iter_signatures
+
+    return _posts(body, 0, _iter_signatures(body))
+
+
+def is_mass_message(
+    thread: DiscussionThread,
+    delivery_agents: Optional[Sequence[str]] = None,
+    markers: Optional[Sequence[str]] = None,
+) -> bool:
+    """The package's mass-message rule for one thread; None means the package's default list."""
+    from wikicomm import wikitext
+
+    agents = wikitext.DEFAULT_DELIVERY_AGENTS if delivery_agents is None else delivery_agents
+    return wikitext._is_mass_message(
+        [p.author for p in thread.posts],
+        thread.body,
+        {wikitext.canonical_username(a) for a in agents},
+        wikitext.DEFAULT_MASS_MESSAGE_MARKERS if markers is None else markers,
+    )
+
+
+def parse_talk_page(page) -> list[DiscussionThread]:
+    """A talk page's threads with their posts and mass-message flags, default lists."""
+    from wikicomm.wikitext import _iter_signatures, _signed_threads
+
+    text = page.wikitext
+    threads = []
+    for heading, start, end, signed in _signed_threads(
+        text, _iter_signatures(text, skip_headings=True)
+    ):
+        thread = DiscussionThread(heading, text[start:end], _posts(text, start, signed))
+        thread.is_mass_message = is_mass_message(thread)
+        threads.append(thread)
+    return threads
+
+
 def posts_to_records(page, threads) -> list[dict]:
-    """Flatten ``wikicomm.wikitext.parse_talk_page`` threads into post records.
+    """Flatten :func:`parse_talk_page` threads into post records.
 
     The records are what the first parser wrote to ``posts.jsonl``, so the
     library's parser can be checked against ``reference_posts_jsonl`` and

@@ -20,9 +20,14 @@ from wikicomm.pipeline import STAGE_ORDER, run_stage
 from wikicomm.quality import q_score
 from wikicomm.report import REFERENCE_SNAPSHOT_ANCHORS
 from wikicomm.stats import linear_hypothesis, nested_f_test, ols_fit
-from wikicomm.wikitext import TalkPage, parse_talk_page
+from wikicomm.wikitext import TalkPage
 
-from oracles import direct_structure_metrics, ols_normal_equations, posts_to_records
+from oracles import (
+    direct_structure_metrics,
+    ols_normal_equations,
+    parse_talk_page,
+    posts_to_records,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINIWIKI = FIXTURES / "miniwiki"

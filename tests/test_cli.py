@@ -1,7 +1,11 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import wikicomm
 from wikicomm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NETWORK, main
 
 MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
@@ -89,3 +93,28 @@ class TestCliSurface:
 
     def test_unknown_command_is_usage_error(self, tmp_path):
         assert main(["launch"]) == 2
+
+
+HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "certifi", "ssl", "http.client")
+
+
+def test_offline_run_loads_no_http_stack(tmp_path):
+    # Only what the import and the run add counts: a site hook may load some
+    # of these modules when the interpreter starts.
+    config = write_config(tmp_path)
+    seed(tmp_path)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import wikicomm.cli\n"
+        f"assert wikicomm.cli.main(['--config', {str(config)!r}, '--offline', 'run']) == 0\n"
+        "added = set(sys.modules) - before\n"
+        f"stack = {HTTP_STACK!r}\n"
+        "print(sorted(m for m in added if m in stack or m.startswith(tuple(p + '.' for p in stack))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wikicomm.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "report.json").exists()

@@ -5,7 +5,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+import requests
 
+import wikicomm.pipeline as pipeline
+from wikicomm.cli import EXIT_NETWORK, main
 from wikicomm.client import (
     DataError,
     FetchExhaustedError,
@@ -15,7 +18,14 @@ from wikicomm.client import (
 )
 from wikicomm.config import PipelineConfig
 
-from fakes import FakeClock, ScriptSession, page_response, write_legacy_cache_entry
+from fakes import (
+    FakeClock,
+    FakeResponse,
+    RoutingSession,
+    ScriptSession,
+    page_response,
+    write_legacy_cache_entry,
+)
 
 
 def make_config(tmp_path, **overrides):
@@ -191,6 +201,126 @@ class TestFetching:
         times = [call["at"] for call in session.calls]
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(gap >= 2.0 - 1e-9 for gap in gaps)
+
+
+def raises(exc):
+    """A script item whose ``get`` fails in transport, before any response."""
+
+    def fail(params):
+        raise exc
+
+    return fail
+
+
+def cached_keys(client):
+    return [p.name for p in Path(client.config.cache_dir).iterdir()]
+
+
+class TestTransportFailures:
+    def test_connection_error_then_timeout_then_success(self, tmp_path):
+        body = page_response("User talk:A", "x")
+        script = [
+            raises(requests.ConnectionError("connection refused")),
+            raises(requests.Timeout("read timed out")),
+            (200, body),
+        ]
+        client, session, fake = make_client(tmp_path, script, request_interval=1.0)
+        assert list(client.fetch_user_talk_pages(["A"])) == [
+            {"title": "User talk:A", "wikitext": "x"}
+        ]
+        assert len(session.calls) == 3
+        assert fake.sleeps == [2.0, 4.0]
+        assert len(cached_keys(client)) == 1
+        assert list(client.fetch_user_talk_pages(["A"])) == [
+            {"title": "User talk:A", "wikitext": "x"}
+        ]
+        assert len(session.calls) == 3
+
+    def test_exhausted_transport_errors_name_the_last_and_cache_nothing(self, tmp_path):
+        script = [
+            raises(requests.ConnectionError("connection refused")),
+            raises(requests.Timeout("read timed out")),
+            raises(requests.ConnectionError("connection reset by peer")),
+        ]
+        client, session, fake = make_client(tmp_path, script, max_retries=2)
+        with pytest.raises(FetchExhaustedError, match=r"3 attempts \(connection reset by peer\)"):
+            list(client.fetch_user_talk_pages(["A"]))
+        assert len(session.calls) == 3
+        assert fake.sleeps == [2.0, 4.0]
+        key = canonical_request(client.config.api_base_url, session.calls[0]["params"])
+        assert client.cache.get(key) is None
+        assert cached_keys(client) == []
+
+    def test_builtin_connection_error_is_retried(self, tmp_path):
+        body = page_response("User talk:A", "x")
+        script = [raises(ConnectionError("network is unreachable")), (200, body)]
+        client, session, _ = make_client(tmp_path, script)
+        assert len(list(client.fetch_user_talk_pages(["A"]))) == 1
+        assert len(session.calls) == 2
+
+    @pytest.mark.parametrize("error", [
+        requests.ConnectionError("connection refused"),
+        ConnectionError("network is unreachable"),
+    ], ids=["requests", "builtin"])
+    def test_cli_exits_3_when_every_attempt_fails(self, tmp_path, monkeypatch, capsys, error):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "output_dir": str(tmp_path / "out"),
+            "cache_dir": str(tmp_path / "cache"),
+            "max_retries": 1,
+            "projects": ["Birds"],
+        }))
+        failing = RoutingSession(raises(error))
+        client_cls = pipeline.MediaWikiClient
+        monkeypatch.setattr(pipeline, "MediaWikiClient", lambda config: client_cls(
+            config, session=failing, sleep=lambda s: None))
+        assert main(["--config", str(config_path), "ingest"]) == EXIT_NETWORK
+        assert len(failing.calls) == 2
+        assert str(error) in capsys.readouterr().err
+        assert list((tmp_path / "cache").iterdir()) == []
+
+
+@pytest.fixture
+def built_sessions(monkeypatch):
+    """Every session the client builds; ``requests.Session`` is a recording fake."""
+    sessions = []
+
+    class RecordingSession:
+        def __init__(self):
+            self.headers = {}
+            self.calls = []
+            sessions.append(self)
+
+        def get(self, url, params=None, timeout=None):
+            self.calls.append(dict(params))
+            return FakeResponse(200, page_response(params["titles"], "x"))
+
+    monkeypatch.setattr(requests, "Session", RecordingSession)
+    return sessions
+
+
+class TestOwnSession:
+    def test_one_session_built_on_the_first_live_fetch(self, tmp_path, built_sessions):
+        config = make_config(tmp_path, user_agent="test-agent/1.0 (ops@example.org)")
+        client = MediaWikiClient(config, sleep=lambda s: None)
+        assert built_sessions == []
+        list(client.fetch_user_talk_pages(["A"]))
+        list(client.fetch_user_talk_pages(["A", "B"]))
+        (session,) = built_sessions
+        assert session.headers["User-Agent"] == "test-agent/1.0 (ops@example.org)"
+        assert [call["titles"] for call in session.calls] == ["User talk:A", "User talk:B"]
+
+    def test_no_session_for_cache_hits_or_offline(self, tmp_path, built_sessions):
+        config = make_config(tmp_path)
+        list(MediaWikiClient(config, sleep=lambda s: None).fetch_user_talk_pages(["A"]))
+        built_sessions.clear()
+        hits = MediaWikiClient(config, sleep=lambda s: None)
+        assert len(list(hits.fetch_user_talk_pages(["A"]))) == 1
+        offline = MediaWikiClient(make_config(tmp_path, offline=True))
+        assert len(list(offline.fetch_user_talk_pages(["A"]))) == 1
+        with pytest.raises(FetchExhaustedError, match="offline"):
+            list(offline.fetch_user_talk_pages(["B"]))
+        assert built_sessions == []
 
 
 def assessments_response(rows, cont=None):

@@ -12,8 +12,6 @@ import wikicomm.wikitext as wikitext
 from wikicomm.wikitext import (
     DEFAULT_DELIVERY_AGENTS,
     DEFAULT_MASS_MESSAGE_MARKERS,
-    DiscussionThread,
-    Post,
     TalkPage,
     _HEADING_RE,
     _TIMESTAMP_RE,
@@ -21,19 +19,21 @@ from wikicomm.wikitext import (
     _timestamp_matches,
     canonical_username,
     count_interactions,
-    extract_posts,
     extract_project_members,
-    is_mass_message,
-    parse_signature,
-    parse_talk_page,
     read_pages_jsonl,
-    split_threads,
 )
 
 from oracles import (
+    DiscussionThread,
+    Post,
+    extract_posts,
+    is_mass_message,
+    parse_signature,
+    parse_talk_page,
     posts_to_records,
     reference_posts_jsonl,
     reference_project_members,
+    split_threads,
     write_posts_jsonl,
 )
 
