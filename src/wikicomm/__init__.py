@@ -8,7 +8,6 @@ from .graph import StructureMetrics, WeightedGraph, effective_information
 from .network import build_networks
 from .quality import Grade, q_score
 from .stats import (
-    DataMatrix,
     FTestResult,
     OlsFit,
     descriptives,
@@ -30,7 +29,6 @@ __all__ = [
     "build_networks",
     "Grade",
     "q_score",
-    "DataMatrix",
     "OlsFit",
     "FTestResult",
     "descriptives",

@@ -1,17 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 network exhaustion,
+Exit codes: 0 success, 2 usage or configuration error, 3 network exhaustion,
 4 data invariant violation.
 """
 
 from __future__ import annotations
 
+import argparse
 import logging
 import sys
 from pathlib import Path
 from typing import Optional
-
-import click
 
 from . import __version__
 from .client import DataError, FetchExhaustedError
@@ -23,56 +22,38 @@ EXIT_NETWORK = 3
 EXIT_DATA = 4
 
 
-def _load_config(path: Optional[str], cache: Optional[str], offline: bool) -> PipelineConfig:
-    config = PipelineConfig.from_file(path) if path else PipelineConfig()
-    if cache:
-        config.cache_dir = cache
-    if offline:
-        config.offline = True
-    return config
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="wikicomm")
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON configuration file.")
-@click.option("--cache", "cache_dir", type=click.Path(), default=None,
-              help="Response cache directory (overrides config).")
-@click.option("--offline", is_flag=True, help="Never touch the network; cache misses fail.")
-@click.option("-v", "--verbose", is_flag=True, help="Log progress to stderr.")
-@click.pass_context
-def cli(ctx: click.Context, config_path: Optional[str], cache_dir: Optional[str],
-        offline: bool, verbose: bool) -> None:
-    """Reconstruct editor communication networks and relate them to quality."""
-    logging.basicConfig(
-        level=logging.INFO if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wikicomm",
+        description="Reconstruct editor communication networks and relate them to quality.",
     )
-    ctx.obj = _load_config(config_path, cache_dir, offline)
+    parser.add_argument("--version", action="version", version=f"wikicomm, version {__version__}")
+    parser.add_argument("--config", help="JSON configuration file.")
+    parser.add_argument("--cache", help="Response cache directory (overrides config).")
+    parser.add_argument("--offline", action="store_true",
+                        help="Never touch the network; cache misses fail.")
+    parser.add_argument("-v", "--verbose", action="store_true", help="Log progress to stderr.")
+    parser.add_argument("command", choices=[*STAGE_ORDER, "run"],
+                        help="One stage, or 'run' for all stages in order.")
+    return parser
 
 
-def _make_stage_command(stage: str) -> None:
-    @cli.command(name=stage, help=f"Run the {stage} stage.")
-    @click.pass_obj
-    def _command(config: PipelineConfig, _stage: str = stage) -> None:
-        run_stage(_stage, config)
-        click.echo(f"{_stage}: done (outputs in {config.output_dir})")
-
-
-for _name in STAGE_ORDER:
-    _make_stage_command(_name)
-
-
-@cli.command(name="run", help="Run all stages in order.")
-@click.pass_obj
-def run_command(config: PipelineConfig) -> None:
+def _run(args: argparse.Namespace) -> None:
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    if args.cache:
+        config.cache_dir = args.cache
+    if args.offline:
+        config.offline = True
+    if args.command != "run":
+        run_stage(args.command, config)
+        print(f"{args.command}: done (outputs in {config.output_dir})")
+        return
     run_pipeline(config)
-    click.echo(f"run: done (outputs in {config.output_dir})")
+    print(f"run: done (outputs in {config.output_dir})")
     for name in ("variables.csv", "report.txt", "report.json", "bundle_meta.json"):
         path = Path(config.output_dir) / name
         if path.exists():
-            click.echo(f"  {path}")
+            print(f"  {path}")
 
 
 def _exit_code(exc: Exception) -> int:
@@ -90,16 +71,19 @@ def _exit_code(exc: Exception) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     """Entry point mapping domain errors to documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except click.Abort:
-        click.echo("aborted", err=True)
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version or a usage error
+        return int(exc.code or 0)
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    try:
+        _run(args)
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         return 1
     except (PipelineStageError, ConfigError, FetchExhaustedError, DataError,
             ValueError, KeyError, ArithmeticError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
     return 0
 

@@ -35,7 +35,6 @@ from .report import (
     round_significant,
 )
 from .stats import (
-    DataMatrix,
     descriptives,
     linear_hypothesis,
     nested_f_test,
@@ -599,32 +598,42 @@ MODEL_2 = ["det_norm", "deg_norm", "strength_log", "members_log"]
 MODEL_3 = ["ei_norm", "strength_log", "members_log"]
 
 
-def build_data_matrix(variables_csv: Path) -> DataMatrix:
-    """Load the variables CSV and add the natural-log model columns."""
+def _read_model_columns(variables_csv: Path) -> dict[str, list[float]]:
+    """Read every column but ``project`` as numbers and add the natural-log columns."""
     with open(variables_csv, encoding="utf-8", newline="") as f:
-        base = DataMatrix.from_csv(f, skip=["project"])
-    columns = {name: base.column(name) for name in base.names}
+        reader = csv.DictReader(f)
+        if not reader.fieldnames:
+            raise ValueError("CSV has no header")
+        columns = {name: [] for name in reader.fieldnames if name != "project"}
+        for lineno, row in enumerate(reader, start=2):
+            for name, values in columns.items():
+                try:
+                    values.append(float(row[name]))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"line {lineno}: column {name!r} is not numeric: {row[name]!r}"
+                    ) from exc
     for source, target in (
         ("q_score", "quality_log"),
         ("avg_strength", "strength_log"),
         ("member_count", "members_log"),
     ):
         values = columns[source]
-        if (values <= 0).any():
+        if any(v <= 0 for v in values):
             raise ValueError(f"column {source} must be positive for log transform")
         columns[target] = [math.log(v) for v in values]
-    return DataMatrix(columns)
+    return columns
 
 
 def stage_regress(config: PipelineConfig) -> dict:
     """Fit the three quality models and emit the JSON and text reports."""
     out = _out(config)
-    dm = build_data_matrix(out / "variables.csv")
+    columns = _read_model_columns(out / "variables.csv")
 
     fits = [
-        ols_fit(dm, "quality_log", MODEL_1),
-        ols_fit(dm, "quality_log", MODEL_2),
-        ols_fit(dm, "quality_log", MODEL_3),
+        ols_fit(columns, "quality_log", MODEL_1),
+        ols_fit(columns, "quality_log", MODEL_2),
+        ols_fit(columns, "quality_log", MODEL_3),
     ]
     drop_fraction = nested_f_test(fits[0], fits[1])
     # H0: the determinism and degeneracy effects cancel (their sum is zero).
@@ -642,7 +651,7 @@ def stage_regress(config: PipelineConfig) -> dict:
         "nested_test_fraction_dropped": f_test_to_dict(drop_fraction),
         "linear_hypothesis_det_plus_deg_zero": f_test_to_dict(det_deg_sum),
         "metadata": {
-            "n": dm.n_rows,
+            "n": fits[0].n,
             "log_transform": "natural log",
             "response": "quality_log",
         },
@@ -663,7 +672,7 @@ def stage_regress(config: PipelineConfig) -> dict:
         "",
     ]
     _write_text(out / "report.txt", "\n".join(lines))
-    log.info("regress: fitted 3 models on %d projects", dm.n_rows)
+    log.info("regress: fitted 3 models on %d projects", fits[0].n)
     return report
 
 

@@ -1,7 +1,6 @@
-"""Distribution functions needed to report p-values: F and Student-t CDFs
-and their upper tails.
+"""Upper tails of the F and Student-t distributions, for reporting p-values.
 
-All reduce to the regularized incomplete beta function I_x(a, b), evaluated
+Both reduce to the regularized incomplete beta function I_x(a, b), evaluated
 here with the continued-fraction expansion (modified Lentz iteration). The
 expansion is applied on the side of the split point x < (a+1)/(a+b+2) where
 it converges fast, with the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) covering
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["log_beta", "regularized_incomplete_beta", "f_cdf", "f_sf", "t_cdf", "t_sf"]
+__all__ = ["log_beta", "regularized_incomplete_beta", "f_sf", "t_sf"]
 
 _MAX_ITERATIONS = 400
 _EPS = 1e-16
@@ -93,44 +92,19 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-def _check_f(x: float, df1: float, df2: float) -> None:
-    if df1 < 1 or df2 < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
-    if x < 0:
-        raise ValueError(f"F statistic must be non-negative, got {x}")
-
-
-def f_cdf(x: float, df1: float, df2: float) -> float:
-    """CDF of the F distribution with (df1, df2) degrees of freedom.
-
-    Raises:
-        ValueError: if x < 0 or either df is < 1.
-    """
-    _check_f(x, df1, df2)
-    if x == 0:
-        return 0.0
-    return regularized_incomplete_beta(df1 / 2.0, df2 / 2.0, df1 * x / (df1 * x + df2))
-
-
 def f_sf(x: float, df1: float, df2: float) -> float:
     """Upper tail P(F > x) of the F distribution, without cancellation.
 
     Raises:
         ValueError: if x < 0 or either df is < 1.
     """
-    _check_f(x, df1, df2)
+    if df1 < 1 or df2 < 1:
+        raise ValueError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
+    if x < 0:
+        raise ValueError(f"F statistic must be non-negative, got {x}")
     if x == 0:
         return 1.0
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, df2 / (df1 * x + df2))
-
-
-def t_cdf(x: float, df: float) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom.
-
-    Raises:
-        ValueError: if df < 1.
-    """
-    return t_sf(-x, df)
 
 
 def t_sf(x: float, df: float) -> float:

@@ -10,10 +10,9 @@ are the conventional non-robust σ̂²(XᵀX)⁻¹ diagonal.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "Descriptives",
     "descriptives",
     "pearson_r",
-    "DataMatrix",
     "OlsFit",
     "FTestResult",
     "ols_fit",
@@ -92,63 +90,6 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     return r, min(1.0, max(0.0, p))
 
 
-class DataMatrix:
-    """Named numeric columns of equal length, one row per project."""
-
-    def __init__(self, columns: Mapping[str, Sequence[float]]) -> None:
-        if not columns:
-            raise ValueError("DataMatrix needs at least one column")
-        self._columns: dict[str, np.ndarray] = {}
-        length = None
-        for name, values in columns.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"column {name!r} is not one-dimensional")
-            if length is None:
-                length = arr.size
-            elif arr.size != length:
-                raise ValueError(
-                    f"column {name!r} has {arr.size} rows, expected {length}"
-                )
-            self._columns[name] = arr
-        self._n = int(length or 0)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._columns)
-
-    @property
-    def n_rows(self) -> int:
-        return self._n
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self._columns:
-            raise KeyError(f"no column {name!r}; have {list(self._columns)}")
-        return self._columns[name]
-
-    def matrix(self, names: Sequence[str]) -> np.ndarray:
-        return np.column_stack([self.column(name) for name in names])
-
-    @classmethod
-    def from_csv(cls, source: IO[str], skip: Sequence[str] = ()) -> "DataMatrix":
-        """Read numeric columns from a headed CSV; ``skip`` names label columns."""
-        reader = csv.DictReader(source)
-        if not reader.fieldnames:
-            raise ValueError("CSV has no header")
-        skipped = set(skip)
-        keep = [name for name in reader.fieldnames if name not in skipped]
-        columns: dict[str, list[float]] = {name: [] for name in keep}
-        for lineno, row in enumerate(reader, start=2):
-            for name in keep:
-                try:
-                    columns[name].append(float(row[name]))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"line {lineno}: column {name!r} is not numeric: {row[name]!r}"
-                    ) from exc
-        return cls(columns)
-
-
 @dataclass(frozen=True)
 class FTestResult:
     """An F statistic with its degrees of freedom and p-value."""
@@ -197,33 +138,44 @@ class OlsFit:
         )
 
 
-def _as_columns(data: Mapping[str, Sequence[float]] | DataMatrix) -> DataMatrix:
-    if isinstance(data, DataMatrix):
-        return data
-    return DataMatrix(data)
+def _column(
+    data: Mapping[str, Sequence[float]], name: str, rows: Optional[int] = None
+) -> np.ndarray:
+    """``data[name]`` as a float vector, which must hold ``rows`` values if given."""
+    if name not in data:
+        raise KeyError(f"no column {name!r}; have {list(data)}")
+    column = np.asarray(data[name], dtype=float)
+    if column.ndim != 1:
+        raise ValueError(f"column {name!r} is not one-dimensional")
+    if rows is not None and column.size != rows:
+        raise ValueError(f"column {name!r} has {column.size} rows, expected {rows}")
+    return column
 
 
 def ols_fit(
-    data: Mapping[str, Sequence[float]] | DataMatrix,
+    data: Mapping[str, Sequence[float]],
     response: str,
     predictors: Sequence[str],
 ) -> OlsFit:
     """Fit ``response ~ 1 + predictors`` by least squares.
 
     Args:
-        data: named columns (a mapping or a :class:`DataMatrix`).
+        data: named columns; only the response and the predictors are read.
         response: name of the response column.
         predictors: names of the predictor columns; an intercept is always
             included.
 
     Raises:
-        ValueError: on missing values, too few rows (n < k+1), or a rank
-            deficient design (collinear columns are named).
+        KeyError: naming a response or predictor column absent from ``data``.
+        ValueError: on a column whose length differs from the response's,
+            missing values, too few rows (n < k+1), or a rank deficient
+            design (collinear columns are named).
     """
-    dm = _as_columns(data)
     names = [INTERCEPT, *predictors]
-    y = dm.column(response)
-    x = np.column_stack([np.ones(dm.n_rows)] + [dm.column(p) for p in predictors])
+    y = _column(data, response)
+    x = np.column_stack(
+        [np.ones(y.size)] + [_column(data, name, y.size) for name in predictors]
+    )
     if np.isnan(y).any() or np.isnan(x).any():
         raise ValueError("missing values in used columns")
     n, k_plus_1 = x.shape

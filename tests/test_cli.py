@@ -59,12 +59,16 @@ class TestExitCodes:
         config = write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir(parents=True)
-        (out / "variables.csv").write_text(
+        header = (
             "project,member_count,active_nodes,fraction,det_norm,deg_norm,ei_norm,"
             "avg_strength,n_articles,n_quality,q_score\n"
-            "P,5,5,1.0,0.5,0.1,0.4,0.0,4,2,1.0\n"  # zero strength breaks the log
         )
-        assert main(["--config", str(config), "--offline", "regress"]) == EXIT_DATA
+        for rows in [
+            "P,5,5,1.0,0.5,0.1,0.4,0.0,4,2,1.0\n",  # zero strength breaks the log
+            "P,5,5,1.0,0.5,0.1,0.4,2.0,4,2,1.0\nQ,6,5,0.8,high,0.1,0.4,2.0,4,2,1.0\n",
+        ]:
+            (out / "variables.csv").write_text(header + rows)
+            assert main(["--config", str(config), "--offline", "regress"]) == EXIT_DATA
 
 
 class TestCliSurface:
@@ -93,9 +97,13 @@ class TestCliSurface:
 
     def test_unknown_command_is_usage_error(self, tmp_path):
         assert main(["launch"]) == 2
+        assert main([]) == 2
 
 
 HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "certifi", "ssl", "http.client")
+# Packages the program no longer depends on: importing one again would
+# bring back a dependency that pyproject.toml does not declare.
+DROPPED = ("click",)
 
 
 def test_offline_run_loads_no_http_stack(tmp_path):
@@ -109,7 +117,7 @@ def test_offline_run_loads_no_http_stack(tmp_path):
         "import wikicomm.cli\n"
         f"assert wikicomm.cli.main(['--config', {str(config)!r}, '--offline', 'run']) == 0\n"
         "added = set(sys.modules) - before\n"
-        f"stack = {HTTP_STACK!r}\n"
+        f"stack = {HTTP_STACK + DROPPED!r}\n"
         "print(sorted(m for m in added if m in stack or m.startswith(tuple(p + '.' for p in stack))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(wikicomm.__file__).parents[1]))

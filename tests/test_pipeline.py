@@ -312,6 +312,47 @@ class TestGoldenRun:
             run_stage("launch", config)
 
 
+class TestRegressInput:
+    """``regress`` reads ``variables.csv`` as written by ``metrics``."""
+
+    def regress_on(self, tmp_path, rows: list[dict]) -> dict:
+        config = miniwiki_config(tmp_path)
+        out = Path(config.output_dir)
+        out.mkdir(parents=True)
+        with open(out / "variables.csv", "w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        return run_stage("regress", config)
+
+    def golden_rows(self) -> list[dict]:
+        with open(GOLDEN / "variables.csv", newline="") as f:
+            return list(csv.DictReader(f))
+
+    def test_non_numeric_cell_is_named_with_its_line(self, tmp_path):
+        rows = self.golden_rows()
+        rows[1]["det_norm"] = "high"  # the header is line 1
+        with pytest.raises(PipelineStageError) as info:
+            self.regress_on(tmp_path, rows)
+        assert "line 3" in str(info.value) and "'det_norm'" in str(info.value)
+
+    def test_missing_model_column_is_named(self, tmp_path):
+        rows = self.golden_rows()
+        for row in rows:
+            del row["deg_norm"]
+        with pytest.raises(PipelineStageError, match="'deg_norm'"):
+            self.regress_on(tmp_path, rows)
+
+    def test_project_column_is_not_parsed_as_a_number(self, tmp_path):
+        rows = self.golden_rows()
+        for i, row in enumerate(rows):
+            row["project"] = f"WikiProject {i}, not a number"
+        report = self.regress_on(tmp_path, rows)
+        assert report["metadata"]["n"] == len(rows)
+        golden = json.loads((GOLDEN / "report.json").read_text())
+        assert report["models"] == golden["models"]
+
+
 def write_metrics_workdir(out: Path, projects) -> None:
     """A work dir with only ``projects.csv``, ``quality.csv`` and ``networks/``.
 

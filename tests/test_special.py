@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikicomm.special import f_cdf, f_sf, log_beta, regularized_incomplete_beta, t_cdf, t_sf
+from wikicomm.special import f_sf, log_beta, regularized_incomplete_beta, t_sf
 
 from oracles import betainc_series
 
@@ -83,52 +83,51 @@ class TestRegularizedIncompleteBeta:
             assert regularized_incomplete_beta(a, b, min(1.0, x + 0.001)) >= value - 1e-12
 
 
-class TestFCdf:
+class TestFTail:
     def test_at_zero(self):
-        assert f_cdf(0.0, 3, 7) == 0.0
+        assert f_sf(0.0, 3, 7) == 1.0
 
     def test_symmetric_dfs_median_at_one(self):
-        assert f_cdf(1.0, 10, 10) == pytest.approx(0.5, abs=1e-12)
-        assert f_cdf(1.0, 991, 991) == pytest.approx(0.5, abs=1e-10)
+        assert f_sf(1.0, 10, 10) == pytest.approx(0.5, abs=1e-12)
+        assert f_sf(1.0, 991, 991) == pytest.approx(0.5, abs=1e-10)
 
-    def test_against_series_oracle(self):
+    def test_against_series_oracle_on_the_complementary_argument(self):
+        # P(F > x) = I_{1-w}(df2/2, df1/2) with w = df1·x / (df1·x + df2).
         for x, df1, df2 in [(2.5, 5, 991), (59.66, 5, 991), (0.178, 4, 991), (2.11, 1, 992)]:
-            expected = betainc_series(df1 / 2, df2 / 2, df1 * x / (df1 * x + df2))
-            assert f_cdf(x, df1, df2) == pytest.approx(expected, abs=1e-10)
+            expected = betainc_series(df2 / 2, df1 / 2, df2 / (df1 * x + df2))
+            assert f_sf(x, df1, df2) == pytest.approx(expected, abs=1e-10)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            f_cdf(-1.0, 2, 2)
+            f_sf(-1.0, 2, 2)
         with pytest.raises(ValueError):
-            f_cdf(1.0, 0, 2)
+            f_sf(1.0, 0, 2)
 
 
-class TestTCdf:
+class TestTTail:
     def test_symmetry_at_zero(self):
-        assert t_cdf(0.0, 7) == 0.5
+        assert t_sf(0.0, 7) == 0.5
 
     def test_symmetry_identity(self):
         for x in (0.5, 1.3, 2.7):
             for df in (1, 5, 30, 995):
-                assert t_cdf(x, df) + t_cdf(-x, df) == pytest.approx(1.0, abs=1e-12)
+                assert t_sf(x, df) + t_sf(-x, df) == pytest.approx(1.0, abs=1e-12)
 
     def test_cauchy_case(self):
-        # df = 1 is the Cauchy distribution: CDF(x) = 1/2 + atan(x)/pi.
+        # df = 1 is the Cauchy distribution: P(T > x) = 1/2 - atan(x)/pi.
         for x in (-2.0, 0.3, 4.0):
-            expected = 0.5 + math.atan(x) / math.pi
-            assert t_cdf(x, 1) == pytest.approx(expected, abs=1e-12)
+            expected = 0.5 - math.atan(x) / math.pi
+            assert t_sf(x, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_squared_t_is_f(self):
         # If T ~ t(df) then T^2 ~ F(1, df).
         for x in (0.7, 1.9, 3.2):
             for df in (4, 60):
-                two_sided = 2.0 * (1.0 - t_cdf(x, df))
-                f_tail = 1.0 - f_cdf(x * x, 1, df)
-                assert two_sided == pytest.approx(f_tail, abs=1e-12)
+                assert 2.0 * t_sf(x, df) == pytest.approx(f_sf(x * x, 1, df), abs=1e-12)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            t_cdf(1.0, 0)
+            t_sf(1.0, 0)
 
 
 class TestUpperTails:
@@ -148,18 +147,25 @@ class TestUpperTails:
             assert t_sf(x, df) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_tails_where_one_minus_cdf_cancels_to_zero(self):
-        assert 1.0 - f_cdf(59.66, 5, 991) == 0.0
-        assert 2.0 * (1.0 - t_cdf(12.0, 991)) == 0.0
+        # I_w(df1/2, df2/2) is the F CDF and I_w(1/2, df/2) is P(|T| < t); this
+        # far out both round to 1.0, so a tail written as 1 - cdf reads 0.
+        f_w = 5 * 59.66 / (5 * 59.66 + 991)
+        assert 1.0 - regularized_incomplete_beta(5 / 2, 991 / 2, f_w) == 0.0
+        t_w = 12.0**2 / (991 + 12.0**2)
+        assert 1.0 - regularized_incomplete_beta(0.5, 991 / 2, t_w) == 0.0
         assert f_sf(59.66, 5, 991) == pytest.approx(2.2154823784936656e-54, rel=1e-10)
         assert 2.0 * t_sf(12.0, 991) == pytest.approx(4.4998417863e-31, rel=1e-10)
 
     def test_complement_of_cdf_in_the_body(self):
         for x, df1, df2 in [(0.3, 2, 5), (1.0, 10, 10), (2.5, 5, 991), (0.9, 1, 40)]:
-            assert f_sf(x, df1, df2) + f_cdf(x, df1, df2) == pytest.approx(1.0, abs=1e-12)
+            cdf = regularized_incomplete_beta(df1 / 2, df2 / 2, df1 * x / (df1 * x + df2))
+            assert f_sf(x, df1, df2) + cdf == pytest.approx(1.0, abs=1e-12)
         for x in (-3.0, -0.4, 0.0, 0.4, 3.0):
             for df in (1, 7, 995):
-                assert t_sf(x, df) == t_cdf(-x, df)
-                assert t_sf(x, df) + t_cdf(x, df) == pytest.approx(1.0, abs=1e-12)
+                cdf = 0.5 + math.copysign(0.5, x) * regularized_incomplete_beta(
+                    0.5, df / 2, x * x / (df + x * x)
+                )
+                assert t_sf(x, df) + cdf == pytest.approx(1.0, abs=1e-12)
 
     def test_endpoints(self):
         assert f_sf(0.0, 3, 7) == 1.0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wikicomm.stats import (
     INTERCEPT,
-    DataMatrix,
     Descriptives,
     descriptives,
     linear_hypothesis,
@@ -166,6 +165,18 @@ class TestOlsFit:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             ols_fit({"x": [1.0], "y": [2.0]}, "y", ["x"])
+
+    def test_column_of_the_wrong_length_is_named(self):
+        data = {"y": [1.0, 2.0], "a": [1.0, 2.0], "b": [1.0]}
+        with pytest.raises(ValueError, match=re.escape("column 'b' has 1 rows, expected 2")):
+            ols_fit(data, "y", ["a", "b"])
+
+    def test_missing_column_is_named(self):
+        data = {"y": [1.0, 2.0, 4.0], "a": [1.0, 2.0, 3.0]}
+        with pytest.raises(KeyError, match="'b'"):
+            ols_fit(data, "y", ["a", "b"])
+        with pytest.raises(KeyError, match="'q'"):
+            ols_fit(data, "q", ["a"])
 
     def test_affine_response_invariance(self):
         data = synthetic_dataset(seed=5)
@@ -389,23 +400,3 @@ def test_reparameterized_model_reproduces_predictions():
     pred_diff = x_diff @ diff_fit.param_vector()
     assert np.max(np.abs(pred_pair - pred_diff)) < 1e-9
     assert np.max(np.abs(pred_pair - y)) < 1e-9
-
-
-class TestDataMatrix:
-    def test_from_csv_and_matrix(self):
-        import io
-
-        dm = DataMatrix.from_csv(
-            io.StringIO("name,a,b\np1,1.5,2\np2,2.5,4\n"), skip=["name"]
-        )
-        assert dm.names == ("a", "b")
-        assert dm.n_rows == 2
-        assert dm.matrix(["b", "a"]).tolist() == [[2.0, 1.5], [4.0, 2.5]]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DataMatrix({"a": [1, 2], "b": [1]})
-
-    def test_unknown_column(self):
-        with pytest.raises(KeyError):
-            DataMatrix({"a": [1, 2]}).column("b")
