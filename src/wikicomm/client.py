@@ -1,10 +1,11 @@
 """Rate-limited, cached MediaWiki API client.
 
-All HTTP goes through one throttled code path. Responses are cached on disk
-as raw bytes, content-addressed by the canonical request, so pages fetched
-during a multi-day crawl can be re-parsed after parser fixes without
-refetching; a warm cache also makes every pipeline stage replayable offline.
-Each response is one file, ``<sha256(key)>.entry``: a JSON header line
+All HTTP goes through one throttled code path, ``get_json``. Answers (JSON
+objects without an ``error`` envelope) are cached on disk as raw bytes,
+content-addressed by the canonical request, so pages fetched during a
+multi-day crawl can be re-parsed after parser fixes without refetching; a
+warm cache also makes every pipeline stage replayable offline. Each answer
+is one file, ``<sha256(key)>.entry``: a JSON header line
 holding the key and the fetch instant, then the payload bytes as received.
 Caches written by earlier versions, which kept each response as a
 ``<sha256>.body`` and ``<sha256>.meta.json`` pair, are still read.
@@ -125,6 +126,21 @@ def canonical_request(url: str, params: dict[str, str]) -> str:
     return json.dumps({"url": url, "params": params}, sort_keys=True, ensure_ascii=False)
 
 
+def _json_object(payload: bytes) -> Optional[dict]:
+    """``payload`` decoded, if it is a JSON object; None if it is anything else."""
+    try:
+        body = json.loads(payload)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return body if isinstance(body, dict) else None
+
+
+def _pages(body: dict) -> list[dict]:
+    """The pages of an answer's ``query.pages``: a list, or by page id in formatversion=1."""
+    pages = body.get("query", {}).get("pages", [])
+    return list(pages.values()) if isinstance(pages, dict) else pages
+
+
 class MediaWikiClient:
     """Throttled API client; one logical request stream, backed by the cache."""
 
@@ -159,22 +175,20 @@ class MediaWikiClient:
                 self._sleep(wait)
         self._last_request = self._clock()
 
-    def _is_throttle_response(self, status: int, payload: bytes) -> bool:
-        if status in _THROTTLE_STATUSES:
-            return True
-        # MediaWiki signals load shedding with HTTP 200 + an error envelope.
-        try:
-            body = json.loads(payload)
-        except (ValueError, UnicodeDecodeError):
-            return False
-        return isinstance(body, dict) and body.get("error", {}).get("code") == "maxlag"
+    def get_json(self, params: dict[str, str]) -> dict:
+        """The answer to one API request, from the cache or else the network.
 
-    def _fetch(self, params: dict[str, str]) -> bytes:
+        Each payload is decoded once. Only an answer, a JSON object without
+        an ``error`` envelope, is cached; any envelope but ``maxlag`` fails.
+        """
         key = canonical_request(self.config.api_base_url, params)
         cached = self.cache.get(key)
         if cached is not None:
+            body = _json_object(cached.payload)
+            if body is None or "error" in body:
+                raise DataError(f"cached response is no API answer, delete its entry: {params}")
             self.fetched_at.append(cached.fetched_at)
-            return cached.payload
+            return body
         if self.config.offline:
             raise FetchExhaustedError(
                 f"offline mode and request not cached: {params.get('titles', params)}"
@@ -186,36 +200,36 @@ class MediaWikiClient:
                 self._sleep(self.config.request_interval * 2**attempt)
             self._throttle()
             try:
-                response = session.get(
-                    self.config.api_base_url, params=params, timeout=60
-                )
-                status = response.status_code
-                payload = response.content
+                response = session.get(self.config.api_base_url, params=params, timeout=60)
+                status, payload = response.status_code, response.content
             except OSError as exc:  # requests.RequestException subclasses it
                 last_error = str(exc)
                 log.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue
-            if self._is_throttle_response(status, payload):
+            body = _json_object(payload)
+            error = body.get("error") if body is not None else None
+            # MediaWiki signals load shedding with HTTP 200 + a maxlag envelope.
+            if status in _THROTTLE_STATUSES or (
+                isinstance(error, dict) and error.get("code") == "maxlag"
+            ):
                 last_error = f"throttled (HTTP {status})"
                 log.info("server throttled request, backing off (attempt %d)", attempt + 1)
                 continue
             if status != 200:
                 last_error = f"HTTP {status}"
                 continue
+            if body is None:
+                last_error = "HTTP 200 body is not JSON"
+                continue
+            if error is not None:
+                raise DataError(f"API error {json.dumps(error)} for request {params}")
             entry = self.cache.put(key, payload)
             self.fetched_at.append(entry.fetched_at)
-            return payload
+            return body
         raise FetchExhaustedError(
             f"request failed after {self.config.max_retries + 1} attempts "
             f"({last_error}); fetched pages remain cached for resume: {params}"
         )
-
-    def get_json(self, params: dict[str, str]) -> dict:
-        payload = self._fetch(params)
-        try:
-            return json.loads(payload)
-        except ValueError as exc:
-            raise DataError(f"response is not JSON for request {params}: {exc}") from exc
 
     # -- page fetchers ------------------------------------------------------
 
@@ -238,11 +252,7 @@ class MediaWikiClient:
         for title in titles:
             params = dict(query)
             params["titles"] = title
-            body = self.get_json(params)
-            pages = body.get("query", {}).get("pages", [])
-            if isinstance(pages, dict):  # formatversion=1
-                pages = list(pages.values())
-            for page in pages:
+            for page in _pages(self.get_json(params)):
                 if page.get("missing") or page.get("missing") == "":
                     log.info("page does not exist, skipped: %s", page.get("title", title))
                     continue
@@ -267,10 +277,7 @@ class MediaWikiClient:
         seen_tokens: set[str] = set()
         while True:
             body = self.get_json(params)
-            pages = body.get("query", {}).get("pages", [])
-            if isinstance(pages, dict):
-                pages = list(pages.values())
-            for page in pages:
+            for page in _pages(body):
                 title = page.get("title", "")
                 for project, assessment in (page.get("pageassessments") or {}).items():
                     yield {

@@ -122,6 +122,11 @@ def _write_text(path: Path, text: str) -> None:
         f.write(text)
 
 
+def _read_json(path: Path):
+    """The JSON document at ``path``, or None where there is no file."""
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+
+
 def _write_csv(out: IO[str], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -137,10 +142,8 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
     ingest_outputs = ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv"]
     if config.offline and all((out / name).exists() for name in ingest_outputs):
         log.info("ingest: offline, reusing pre-seeded inputs in %s", out)
-        manifest_path = out / "fetch_manifest.json"
-        if manifest_path.exists():
-            return json.loads(manifest_path.read_text(encoding="utf-8"))
-        return {"requests": 0, "earliest_fetch": None, "latest_fetch": None}
+        manifest = _read_json(out / "fetch_manifest.json")
+        return manifest or {"requests": 0, "earliest_fetch": None, "latest_fetch": None}
     projects = config.canonical_projects()
     if not projects:
         raise ConfigError("config lists no projects; ingest needs an explicit project list")
@@ -682,9 +685,8 @@ def stage_regress(config: PipelineConfig) -> dict:
 def stage_report(config: PipelineConfig) -> dict:
     """Assemble bundle metadata describing provenance and comparability."""
     out = _out(config)
-    manifest_path = out / "fetch_manifest.json"
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_json(out / "fetch_manifest.json")
+    if manifest is not None:
         snapshot = {
             "earliest_fetch": manifest.get("earliest_fetch"),
             "latest_fetch": manifest.get("latest_fetch"),
@@ -692,24 +694,17 @@ def stage_report(config: PipelineConfig) -> dict:
     else:
         snapshot = {"earliest_fetch": None, "latest_fetch": None, "note": "pre-seeded inputs"}
 
-    n_rows = 0
-    variables_path = out / "variables.csv"
-    if variables_path.exists():
-        with open(variables_path, encoding="utf-8", newline="") as f:
-            n_rows = sum(1 for _ in csv.DictReader(f))
-
-    quality_summary = None
-    summary_path = out / "quality_summary.json"
-    if summary_path.exists():
-        quality_summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    # The observations are those the models used, as regress recorded them.
+    report = _read_json(out / "report.json")
+    observations = report["metadata"]["n"] if report is not None else 0
 
     meta = {
-        "quality_summary": quality_summary,
+        "quality_summary": _read_json(out / "quality_summary.json"),
         "tool": {"name": "wikicomm", "version": __version__},
         "config": config.to_metadata(),
         "snapshot": snapshot,
-        "observations": n_rows,
-        "anchors_comparable": n_rows >= ANCHOR_COMPARABLE_MIN_ROWS,
+        "observations": observations,
+        "anchors_comparable": observations >= ANCHOR_COMPARABLE_MIN_ROWS,
         "reference_anchors": REFERENCE_SNAPSHOT_ANCHORS,
         "limitations": [
             "usernames are not rename-resolved; renamed accounts appear as distinct nodes",

@@ -168,24 +168,6 @@ def _iter_signatures(
         yield user, ts, ts_match.end()
 
 
-def _headings(text: str) -> Iterator[re.Match]:
-    """The matches of ``_HEADING_RE.finditer(text)``, tried only where a line opens with ``==``.
-
-    ``finditer`` would try the ``^``-anchored pattern at every character.
-    """
-    match = _HEADING_RE.match
-    if text.startswith("=="):
-        heading = match(text)
-        if heading:
-            yield heading
-    pos = text.find("\n==")
-    while pos >= 0:
-        heading = match(text, pos + 1)
-        if heading:
-            yield heading
-        pos = text.find("\n==", pos + 3)
-
-
 def _thread_spans(text: str) -> list[tuple[str, int, int]]:
     """``(heading, body start, body end)`` per level-2 thread of a talk page.
 
@@ -193,7 +175,7 @@ def _thread_spans(text: str) -> list[tuple[str, int, int]]:
     heading (only if it contains any non-whitespace). A body starts where
     its heading line ends and ends where the next heading line starts.
     """
-    matches = list(_headings(text))
+    matches = list(_HEADING_RE.finditer(text))
     first = matches[0].start() if matches else len(text)
     spans = [("", 0, first)] if text[:first].strip() else []
     ends = [m.start() for m in matches[1:]] + [len(text)]

@@ -8,7 +8,7 @@ import pytest
 import requests
 
 import wikicomm.pipeline as pipeline
-from wikicomm.cli import EXIT_NETWORK, main
+from wikicomm.cli import EXIT_DATA, EXIT_NETWORK, main
 from wikicomm.client import (
     DataError,
     FetchExhaustedError,
@@ -263,21 +263,98 @@ class TestTransportFailures:
         ConnectionError("network is unreachable"),
     ], ids=["requests", "builtin"])
     def test_cli_exits_3_when_every_attempt_fails(self, tmp_path, monkeypatch, capsys, error):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({
-            "output_dir": str(tmp_path / "out"),
-            "cache_dir": str(tmp_path / "cache"),
-            "max_retries": 1,
-            "projects": ["Birds"],
-        }))
         failing = RoutingSession(raises(error))
-        client_cls = pipeline.MediaWikiClient
-        monkeypatch.setattr(pipeline, "MediaWikiClient", lambda config: client_cls(
-            config, session=failing, sleep=lambda s: None))
-        assert main(["--config", str(config_path), "ingest"]) == EXIT_NETWORK
+        assert ingest_cli(tmp_path, monkeypatch, failing) == EXIT_NETWORK
         assert len(failing.calls) == 2
         assert str(error) in capsys.readouterr().err
         assert list((tmp_path / "cache").iterdir()) == []
+
+
+def ingest_cli(tmp_path, monkeypatch, session):
+    """Exit code of ``wikicomm ingest`` with every request served by ``session``."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "output_dir": str(tmp_path / "out"),
+        "cache_dir": str(tmp_path / "cache"),
+        "max_retries": 1,
+        "projects": ["Birds"],
+    }))
+    client_cls = pipeline.MediaWikiClient
+    monkeypatch.setattr(pipeline, "MediaWikiClient", lambda config: client_cls(
+        config, session=session, sleep=lambda s: None))
+    return main(["--config", str(config_path), "ingest"])
+
+
+# What a proxy in front of the API may answer with status 200.
+PROXY_PAGE = b"<html><body><h1>Service temporarily unavailable</h1></body></html>"
+
+
+class TestOnlyAnswersAreCached:
+    def test_html_then_answer_backs_off_once_and_caches_the_answer(self, tmp_path):
+        body = page_response("User talk:A", "x")
+        client, session, fake = make_client(
+            tmp_path, [(200, PROXY_PAGE), (200, body)], request_interval=1.0
+        )
+        assert list(client.fetch_user_talk_pages(["A"])) == [
+            {"title": "User talk:A", "wikitext": "x"}
+        ]
+        assert len(session.calls) == 2
+        assert fake.sleeps == [2.0]
+        key = canonical_request(client.config.api_base_url, session.calls[0]["params"])
+        assert json.loads(client.cache.get(key).payload) == body
+        assert len(cached_keys(client)) == 1
+
+    @pytest.mark.parametrize("payload", [PROXY_PAGE, b"", b"[1, 2]", b"\xff\xfe"],
+                             ids=["html", "empty", "array", "undecodable"])
+    def test_no_json_object_on_every_attempt_is_exhaustion(self, tmp_path, payload):
+        client, session, fake = make_client(tmp_path, [(200, payload)] * 3, max_retries=2)
+        with pytest.raises(FetchExhaustedError, match="not JSON"):
+            list(client.fetch_user_talk_pages(["A"]))
+        assert len(session.calls) == 3
+        assert fake.sleeps == [2.0, 4.0]
+        assert cached_keys(client) == []
+
+    def test_cli_exits_3_when_every_answer_is_html(self, tmp_path, monkeypatch, capsys):
+        session = RoutingSession(lambda params: (200, PROXY_PAGE))
+        assert ingest_cli(tmp_path, monkeypatch, session) == EXIT_NETWORK
+        assert len(session.calls) == 2
+        assert "not JSON" in capsys.readouterr().err
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    @pytest.mark.parametrize("code, fetch", [
+        ("readonly", lambda client: client.fetch_user_talk_pages(["A"])),
+        ("badvalue", lambda client: client.fetch_assessments()),
+    ], ids=["fetch_pages", "fetch_assessments"])
+    def test_error_envelope_fails_at_once_and_caches_nothing(self, tmp_path, code, fetch):
+        envelope = {"error": {"code": code, "info": "the request was refused"}}
+        client, session, fake = make_client(tmp_path, [(200, envelope)] * 2)
+        with pytest.raises(DataError, match=code):
+            list(fetch(client))
+        assert len(session.calls) == 1
+        assert fake.sleeps == []
+        assert cached_keys(client) == []
+
+    def test_cli_exits_4_on_an_error_envelope(self, tmp_path, monkeypatch, capsys):
+        session = RoutingSession(lambda params: (200, {"error": {"code": "readonly"}}))
+        assert ingest_cli(tmp_path, monkeypatch, session) == EXIT_DATA
+        assert len(session.calls) == 1
+        assert "readonly" in capsys.readouterr().err
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    @pytest.mark.parametrize("payload", [
+        json.dumps({"error": {"code": "readonly"}}).encode(), PROXY_PAGE,
+    ], ids=["error-envelope", "html"])
+    def test_cached_entry_that_is_no_answer_fails(self, tmp_path, payload):
+        config = make_config(tmp_path)
+        params = dict(config.user_talk_query, titles="User talk:A")
+        Path(config.cache_dir).mkdir()
+        write_legacy_cache_entry(config.cache_dir, canonical_request(config.api_base_url, params),
+                                 "2021-02-01T12:30:00+00:00", payload)
+        session = ScriptSession([])
+        client = MediaWikiClient(config, session=session)
+        with pytest.raises(DataError, match="User talk:A"):
+            list(client.fetch_user_talk_pages(["A"]))
+        assert session.calls == []
 
 
 @pytest.fixture

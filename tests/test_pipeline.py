@@ -353,6 +353,30 @@ class TestRegressInput:
         assert report["models"] == golden["models"]
 
 
+class TestReportObservations:
+    """``report`` counts the observations the models used, from ``report.json``."""
+
+    @pytest.mark.parametrize("n, comparable", [(14, False), (500, True)])
+    def test_observations_are_the_fits_n(self, tmp_path, n, comparable):
+        config = miniwiki_config(tmp_path)
+        out = Path(config.output_dir)
+        out.mkdir(parents=True)
+        (out / "report.json").write_text(json.dumps({"metadata": {"n": n}}))
+        header, *rows = (GOLDEN / "variables.csv").read_text().splitlines(keepends=True)
+        (out / "variables.csv").write_text(header + "".join(rows[:3]))
+        run_stage("report", config)
+        bundle = json.loads((out / "bundle_meta.json").read_text())
+        assert bundle["observations"] == n
+        assert bundle["anchors_comparable"] is comparable
+
+    def test_empty_workdir_has_no_observations(self, tmp_path):
+        config = miniwiki_config(tmp_path)
+        run_stage("report", config)
+        bundle = json.loads((Path(config.output_dir) / "bundle_meta.json").read_text())
+        assert bundle["observations"] == 0
+        assert bundle["anchors_comparable"] is False
+
+
 def write_metrics_workdir(out: Path, projects) -> None:
     """A work dir with only ``projects.csv``, ``quality.csv`` and ``networks/``.
 

@@ -13,9 +13,7 @@ from wikicomm.wikitext import (
     DEFAULT_DELIVERY_AGENTS,
     DEFAULT_MASS_MESSAGE_MARKERS,
     TalkPage,
-    _HEADING_RE,
     _TIMESTAMP_RE,
-    _headings,
     _timestamp_matches,
     canonical_username,
     count_interactions,
@@ -565,15 +563,6 @@ def test_anchored_timestamp_scan_matches_plain_finditer(text):
     assert [m.span() for m in _timestamp_matches(text)] == [
         m.span() for m in _TIMESTAMP_RE.finditer(text)
     ]
-
-
-@given(wikitexts)
-@settings(max_examples=300, deadline=None)
-def test_heading_scan_matches_plain_finditer(text):
-    for page in (text, text.replace("\n", "\r\n")):
-        assert [m.span() for m in _headings(page)] == [
-            m.span() for m in _HEADING_RE.finditer(page)
-        ]
 
 
 # Characters json.dumps treats specially: quote, backslash, every control
