@@ -2,13 +2,15 @@
 
 All HTTP goes through one throttled code path, ``get_json``. Answers (JSON
 objects without an ``error`` envelope) are cached on disk as raw bytes,
-content-addressed by the canonical request, so pages fetched during a
-multi-day crawl can be re-parsed after parser fixes without refetching; a
-warm cache also makes every pipeline stage replayable offline. Each answer
-is one file, ``<sha256(key)>.entry``: a JSON header line
-holding the key and the fetch instant, then the payload bytes as received.
-Caches written by earlier versions, which kept each response as a
-``<sha256>.body`` and ``<sha256>.meta.json`` pair, are still read.
+addressed by the canonical request, so pages fetched during a multi-day
+crawl can be re-parsed after parser fixes without refetching; a warm cache
+also makes every pipeline stage replayable offline. Each cache appends its
+answers to one pack file of its own, ``<UTC instant>-<pid>.pack``: per
+answer, a JSON header line holding the key, the fetch instant and the
+payload size, then the payload bytes as received. A record cut short by an
+interrupted write can only end a pack, and is ignored. The per-answer files
+of earlier versions, ``<sha256(key)>.entry`` and the ``<sha256>.body`` +
+``<sha256>.meta.json`` pair, are still read and never written.
 The ``session`` constructor argument is the seam tests use to stay offline.
 ``requests`` is imported only when the client builds its own session, on
 its first live fetch, so offline runs never load the HTTP stack.
@@ -59,65 +61,139 @@ class CacheEntry:
     payload: bytes
 
 
-class ResponseCache:
-    """Content-addressed store of raw response bytes, immutable once written.
+def _digest(key: str) -> bytes:
+    return hashlib.sha256(key.encode("utf-8")).digest()
 
-    An entry is the file ``<sha256(key)>.entry``: one JSON line
-    ``{"fetched_at": ..., "key": ...}`` (sorted keys), ``\n``, then the
-    payload exactly as received. ``put`` writes it to ``<name>.tmp`` and
-    renames it into place, so an interrupted write leaves no entry and a
-    later ``put`` writes it afresh; ``get`` opens it once. Where no
-    ``.entry`` exists, ``get`` falls back to the earlier layout, a
-    ``<sha256>.body`` payload beside its ``<sha256>.meta.json``, which is
-    read but never written; ``put`` leaves an entry in either layout as it
-    is.
+
+def _record_header(line: bytes) -> Optional[tuple[str, int]]:
+    """The key and payload size of a pack's header line; None if it is cut or malformed."""
+    if not line.endswith(b"\n"):
+        return None
+    try:
+        header = json.loads(line)
+        key, size = header["key"], header["size"]
+    except (ValueError, TypeError, KeyError):
+        return None
+    if not isinstance(key, str) or not isinstance(size, int) or size < 0:
+        return None
+    return key, size
+
+
+class ResponseCache:
+    """Store of raw response bytes addressed by request key, immutable once written.
+
+    Each cache appends to a pack of its own, ``<UTC instant>-<pid>.pack``,
+    created on its first ``put``. A record is one JSON line
+    ``{"fetched_at": ..., "key": ..., "size": ...}`` (sorted keys), ``\\n``,
+    then ``size`` payload bytes exactly as received. ``put`` writes a record
+    in one call and closes the pack before it returns; if the write fails,
+    the cache abandons that pack and its next ``put`` starts a new one, so a
+    torn record can only end a pack. Nothing is fsynced: a ``put`` that
+    returned survives a killed process, not a crashed host.
+
+    The constructor builds the index, which maps the sha256 digest of each
+    key to its record. It reads the header of every record in every
+    ``*.pack``, in name order, and stops reading a pack at a header line
+    that is cut or does not parse, or at a payload that runs past the end of
+    the file, with a warning; the first record of a key wins. It also takes
+    in the per-answer files of earlier versions, a ``<sha256>.entry`` (a
+    header line without ``size``, then the payload) and a ``<sha256>.body``
+    beside its ``<sha256>.meta.json``, which are read and never written.
+    The cache therefore sees what existed when it was built and what it
+    writes itself, not what another process writes meanwhile. ``get`` is a
+    dict lookup: a miss touches no file, and a hit reads one record.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
+        # digest -> (file, offset of its record); a two-file entry is (stem, None).
+        self._index: dict[bytes, tuple[str, Optional[int]]] = {}
+        self._pack: Optional[str] = None
+        with os.scandir(self._dir) as listing:
+            names = sorted(item.name for item in listing)
+        for name in names:
+            path = os.path.join(self._dir, name)
+            if name.endswith(".pack"):
+                self._scan_pack(path)
+            elif name.endswith(".entry"):
+                self._note_file(name[: -len(".entry")], (path, 0))
+            elif name.endswith(".meta.json"):
+                self._note_file(name[: -len(".meta.json")], (path[: -len(".meta.json")], None))
 
-    def _stem(self, key: str) -> str:
-        return os.path.join(self._dir, hashlib.sha256(key.encode("utf-8")).hexdigest())
-
-    def get(self, key: str) -> Optional[CacheEntry]:
-        stem = self._stem(key)
+    def _note_file(self, stem: str, location: tuple[str, Optional[int]]) -> None:
         try:
-            with open(stem + ".entry", "rb") as f:
-                meta = json.loads(f.readline())
+            self._index.setdefault(bytes.fromhex(stem), location)
+        except ValueError:  # not named by a digest, so no entry of this cache
+            pass
+
+    def _scan_pack(self, path: str) -> None:
+        """Index the records of one pack, up to the first torn one."""
+        with open(path, "rb") as f:
+            end = os.fstat(f.fileno()).st_size
+            offset = 0
+            while offset < end:
+                line = f.readline()
+                header = _record_header(line)
+                if header is None or offset + len(line) + header[1] > end:
+                    log.warning(
+                        "cache pack %s: torn record at offset %d, rest ignored", path, offset
+                    )
+                    return
+                key, size = header
+                self._index.setdefault(_digest(key), (path, offset))
+                offset += len(line) + size
+                f.seek(offset)
+
+    @staticmethod
+    def _read(path: str, offset: Optional[int]) -> CacheEntry:
+        if offset is None:
+            # The layout of earlier versions, whose put renamed the body
+            # into place before the meta: a meta file means a whole body.
+            with open(path + ".meta.json", "rb") as f:
+                meta = json.loads(f.read())
+            with open(path + ".body", "rb") as f:
                 payload = f.read()
-        except FileNotFoundError:
-            try:
-                # The layout of earlier versions, whose put renamed the body
-                # into place before the meta: a meta file means a whole body.
-                with open(stem + ".meta.json", "rb") as f:
-                    meta = json.loads(f.read())
-                with open(stem + ".body", "rb") as f:
-                    payload = f.read()
-            except FileNotFoundError:
-                return None
+        else:
+            with open(path, "rb") as f:
+                f.seek(offset)
+                meta = json.loads(f.readline())
+                # An ``.entry`` file is one record whose header has no size.
+                payload = f.read(meta["size"]) if "size" in meta else f.read()
         return CacheEntry(
             key=meta["key"],
             fetched_at=datetime.fromisoformat(meta["fetched_at"]),
             payload=payload,
         )
 
+    def get(self, key: str) -> Optional[CacheEntry]:
+        location = self._index.get(_digest(key))
+        return self._read(*location) if location is not None else None
+
     def put(self, key: str, payload: bytes) -> CacheEntry:
-        existing = self.get(key)
-        if existing is not None:
-            return existing
+        digest = _digest(key)
+        location = self._index.get(digest)
+        if location is not None:
+            return self._read(*location)
         fetched_at = datetime.now(timezone.utc)
-        header = json.dumps({"fetched_at": fetched_at.isoformat(), "key": key}, sort_keys=True)
-        path = self._stem(key) + ".entry"
-        tmp = path + ".tmp"
+        header = json.dumps(
+            {"fetched_at": fetched_at.isoformat(), "key": key, "size": len(payload)},
+            sort_keys=True,
+        )
+        mode = "ab"
+        if self._pack is None:
+            mode = "xb"
+            name = f"{fetched_at:%Y%m%dT%H%M%S%fZ}-{os.getpid()}.pack"
+            self._pack = os.path.join(self._dir, name)
         try:
-            with open(tmp, "wb") as f:
-                f.write(header.encode("ascii") + b"\n")
-                f.write(payload)
-            os.replace(tmp, path)
+            with open(self._pack, mode) as f:
+                offset = f.tell()
+                f.write(header.encode("ascii") + b"\n" + payload)
         except BaseException:
-            Path(tmp).unlink(missing_ok=True)
+            # The pack may now end in a torn record: never append after it.
+            self._pack = None
             raise
+        self._index[digest] = (self._pack, offset)
         return CacheEntry(key=key, fetched_at=fetched_at, payload=payload)
 
 
@@ -157,7 +233,10 @@ class MediaWikiClient:
         self._sleep = sleep
         self._clock = clock
         self._last_request: Optional[float] = None
-        self.fetched_at: list[datetime] = []
+        # Answers returned, and the earliest and latest of their fetch instants.
+        self.answers = 0
+        self.earliest_fetch: Optional[str] = None
+        self.latest_fetch: Optional[str] = None
 
     def _ensure_session(self) -> requests.Session:
         if self._session is None:
@@ -166,6 +245,12 @@ class MediaWikiClient:
             self._session = requests.Session()
             self._session.headers.update({"User-Agent": self.config.user_agent})
         return self._session
+
+    def _count(self, entry: CacheEntry) -> None:
+        instant = entry.fetched_at.isoformat()
+        self.answers += 1
+        self.earliest_fetch = min(instant, self.earliest_fetch or instant)
+        self.latest_fetch = max(instant, self.latest_fetch or instant)
 
     def _throttle(self) -> None:
         now = self._clock()
@@ -187,7 +272,7 @@ class MediaWikiClient:
             body = _json_object(cached.payload)
             if body is None or "error" in body:
                 raise DataError(f"cached response is no API answer, delete its entry: {params}")
-            self.fetched_at.append(cached.fetched_at)
+            self._count(cached)
             return body
         if self.config.offline:
             raise FetchExhaustedError(
@@ -223,8 +308,7 @@ class MediaWikiClient:
                 continue
             if error is not None:
                 raise DataError(f"API error {json.dumps(error)} for request {params}")
-            entry = self.cache.put(key, payload)
-            self.fetched_at.append(entry.fetched_at)
+            self._count(self.cache.put(key, payload))
             return body
         raise FetchExhaustedError(
             f"request failed after {self.config.max_retries + 1} attempts "

@@ -181,11 +181,10 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
             ([row["project"], row["article"], row["grade"]] for row in client.fetch_assessments()),
         )
 
-    fetched = sorted(ts.isoformat() for ts in client.fetched_at)
     manifest = {
-        "requests": len(fetched),
-        "earliest_fetch": fetched[0] if fetched else None,
-        "latest_fetch": fetched[-1] if fetched else None,
+        "requests": client.answers,
+        "earliest_fetch": client.earliest_fetch,
+        "latest_fetch": client.latest_fetch,
     }
     _write_text(out / "fetch_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     log.info("ingest: %d projects, %d member talk pages", len(projects), len(all_members))

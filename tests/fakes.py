@@ -1,4 +1,4 @@
-"""Offline stand-ins for the HTTP session and cache used by the API client tests."""
+"""Offline stand-ins for the HTTP session, and readers and writers of cache layouts."""
 
 from __future__ import annotations
 
@@ -80,3 +80,24 @@ def write_legacy_cache_entry(directory, key, fetched_at, payload):
     (Path(directory) / f"{digest}.meta.json").write_text(
         json.dumps({"key": key, "fetched_at": fetched_at}, sort_keys=True), encoding="utf-8"
     )
+
+
+def write_per_file_cache_entry(directory, key, fetched_at, payload):
+    """Cache one response as the ``<sha256>.entry`` file that earlier versions wrote."""
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+    header = json.dumps({"fetched_at": fetched_at, "key": key}, sort_keys=True)
+    (Path(directory) / f"{digest}.entry").write_bytes(header.encode("ascii") + b"\n" + payload)
+
+
+def read_pack(path):
+    """The ``(header, payload)`` records of a cache pack, which must all be whole."""
+    data = Path(path).read_bytes()
+    records, offset = [], 0
+    while offset < len(data):
+        start = data.index(b"\n", offset) + 1
+        header = json.loads(data[offset:start])
+        payload = data[start : start + header["size"]]
+        assert len(payload) == header["size"], f"torn record at offset {offset}"
+        records.append((header, payload))
+        offset = start + header["size"]
+    return records

@@ -1,6 +1,9 @@
-import hashlib
+import builtins
+import contextlib
+import errno
 import json
 import os
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,6 +45,47 @@ def make_client(tmp_path, script, **overrides):
     return client, session, fake
 
 
+def record(entry):
+    """The bytes of ``entry``'s record in a pack."""
+    header = {"fetched_at": entry.fetched_at.isoformat(), "key": entry.key,
+              "size": len(entry.payload)}
+    return json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + entry.payload
+
+
+class TornFile:
+    """A file whose ``write`` stores half the data, then fails as a full disk does."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@contextlib.contextmanager
+def tear_writes(monkeypatch):
+    """Within the block, every file opened to append or create tears its writes."""
+    real_open = builtins.open
+
+    def open_torn(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return TornFile(f) if mode in ("ab", "xb") else f
+
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "open", open_torn)
+        yield
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = ResponseCache(tmp_path / "c")
@@ -54,34 +98,101 @@ class TestCache:
         cache = ResponseCache(tmp_path / "c")
         payload = b"line one\nline two\n\xff\x00"
         entry = cache.put("key \u00e9\n", payload)
-        digest = hashlib.sha256("key \u00e9\n".encode("utf-8")).hexdigest()
-        assert [p.name for p in (tmp_path / "c").iterdir()] == [f"{digest}.entry"]
-        header, stored = (tmp_path / "c" / f"{digest}.entry").read_bytes().split(b"\n", 1)
-        assert stored == payload
-        assert header.decode("ascii") == json.dumps(
-            {"fetched_at": entry.fetched_at.isoformat(), "key": "key \u00e9\n"}, sort_keys=True
+        other = cache.put("other", b"{}")
+        [pack] = (tmp_path / "c").iterdir()
+        assert re.fullmatch(rf"\d{{8}}T\d{{12}}Z-{os.getpid()}\.pack", pack.name)
+        assert pack.read_bytes() == record(entry) + record(other)
+        assert record(entry).startswith(
+            json.dumps(
+                {"fetched_at": entry.fetched_at.isoformat(), "key": "key \u00e9\n", "size": 20},
+                sort_keys=True,
+            ).encode("ascii")
+            + b"\n"
         )
         assert cache.get("key \u00e9\n") == entry
+        assert ResponseCache(tmp_path / "c").get("key \u00e9\n") == entry
 
     def test_interrupted_put_leaves_no_entry(self, tmp_path, monkeypatch):
         directory = tmp_path / "c"
         cache = ResponseCache(directory)
+        with tear_writes(monkeypatch), pytest.raises(OSError, match="No space"):
+            cache.put("key", b"payload")
+        [torn] = directory.iterdir()
+        assert torn.stat().st_size > 0
+        assert cache.get("key") is None
+        assert ResponseCache(directory).get("key") is None
+        entry = cache.put("key", b"payload")
+        assert cache.get("key") == entry
+        assert ResponseCache(directory).get("key") == entry
+        assert len(list(directory.iterdir())) == 2
 
-        def fail(src, dst):
-            # The whole entry is written aside; the rename is the commit.
-            assert Path(src).read_bytes().endswith(b"\npayload")
-            assert not Path(dst).exists()
-            raise OSError("no space left on device")
+    @pytest.mark.parametrize("cut", ["inside_payload", "inside_header", "unparsable_header"])
+    def test_torn_record_ends_its_pack(self, tmp_path, caplog, cut):
+        directory = tmp_path / "c"
+        cache = ResponseCache(directory)
+        first = cache.put("first", b"one")
+        second = cache.put("second", b"two two two")
+        [pack] = directory.iterdir()
+        at = len(record(first))
+        torn = {
+            "inside_payload": record(second)[:-1],
+            "inside_header": record(second)[:10],
+            "unparsable_header": b"not a header\n" + b"two two two",
+        }[cut]
+        pack.write_bytes(record(first) + torn)
+        with caplog.at_level("WARNING"):
+            reopened = ResponseCache(directory)
+        assert reopened.get("first") == first
+        assert reopened.get("second") is None
+        assert caplog.messages == [f"cache pack {pack}: torn record at offset {at}, rest ignored"]
+        again = reopened.put("second", b"two two two")
+        assert len(list(directory.iterdir())) == 2
+        assert ResponseCache(directory).get("second") == again
+
+    def test_put_after_a_failed_write_starts_a_new_pack(self, tmp_path, monkeypatch):
+        directory = tmp_path / "c"
+        cache = ResponseCache(directory)
+        a = cache.put("a", b"1")
+        with tear_writes(monkeypatch), pytest.raises(OSError, match="No space"):
+            cache.put("b", b"2")
+        c = cache.put("c", b"3")
+        first, second = sorted(directory.iterdir())
+        assert first.read_bytes().startswith(record(a))
+        assert second.read_bytes() == record(c)
+        reopened = ResponseCache(directory)
+        assert [reopened.get(key) for key in "abc"] == [a, None, c]
+
+    def test_two_caches_write_two_packs_and_the_first_record_wins(self, tmp_path):
+        directory = tmp_path / "c"
+        one, two = ResponseCache(directory), ResponseCache(directory)
+        first = one.put("key", b"first")
+        later = two.put("key", b"later")
+        assert later.payload == b"later"  # two was built before one wrote
+        assert len(list(directory.iterdir())) == 2
+        assert ResponseCache(directory).get("key") == first
+
+    def test_miss_opens_no_file_and_put_opens_only_its_pack(self, tmp_path, monkeypatch):
+        cache = ResponseCache(tmp_path / "c")
+        cache.put("present", b"x")
+        [pack] = (tmp_path / "c").iterdir()
+        real_open, opened = builtins.open, []
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            opened.append((os.fspath(file), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cache looked at the disk")
 
         with monkeypatch.context() as patched:
-            patched.setattr(os, "replace", fail)
-            with pytest.raises(OSError, match="no space"):
-                cache.put("key", b"payload")
-        assert cache.get("key") is None
-        assert list(directory.iterdir()) == []
-        cache.put("key", b"payload")
-        assert cache.get("key").payload == b"payload"
-        assert [p.suffix for p in directory.iterdir()] == [".entry"]
+            patched.setattr(builtins, "open", recording_open)
+            patched.setattr(os, "stat", refuse)
+            missed = cache.get("absent")
+            opened_by_get = list(opened)
+            cache.put("absent", b"y")
+        assert missed is None
+        assert opened_by_get == []
+        assert opened == [(str(pack), "ab")]
 
     def test_legacy_two_file_entry_is_read_and_left_untouched(self, tmp_path):
         directory = tmp_path / "c"

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import os
 import shutil
@@ -25,7 +24,12 @@ from wikicomm.pipeline import (
     stage_ingest,
 )
 
-from fakes import RoutingSession, write_legacy_cache_entry
+from fakes import (
+    RoutingSession,
+    read_pack,
+    write_legacy_cache_entry,
+    write_per_file_cache_entry,
+)
 from oracles import reference_posts_jsonl, reference_project_members
 from test_wikitext import wikitexts
 
@@ -33,6 +37,8 @@ MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
 GOLDEN = MINIWIKI / "golden"
 
 OFFLINE_STAGES = STAGE_ORDER  # ingest reuses pre-seeded inputs when offline
+INGEST_OUTPUTS = ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv",
+                  "fetch_manifest.json"]
 
 
 def miniwiki_config(tmp_path) -> PipelineConfig:
@@ -935,15 +941,12 @@ class TestMockedIngestRun:
         session = RoutingSession(MiniwikiApi())
         self.run_all(config, session)
         assert len(session.calls) > 0
-        # One file per cached response, and no leftover temporary file.
-        digests = {
-            hashlib.sha256(canonical_request(config.api_base_url, params).encode()).hexdigest()
-            for params in session.calls
-        }
-        assert len(digests) == len(session.calls)
-        assert sorted(p.name for p in Path(config.cache_dir).iterdir()) == sorted(
-            f"{digest}.entry" for digest in digests
-        )
+        # One pack of one record per request, and no leftover temporary file.
+        [pack] = Path(config.cache_dir).iterdir()
+        assert pack.suffix == ".pack"
+        keys = [header["key"] for header, _ in read_pack(pack)]
+        assert keys == [canonical_request(config.api_base_url, p) for p in session.calls]
+        assert len(set(keys)) == len(keys)
         first = {
             name: (Path(config.output_dir) / name).read_bytes()
             for name in ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv",
@@ -956,27 +959,30 @@ class TestMockedIngestRun:
         for name in ["variables.csv", "report.json", "report.txt"]:
             assert first[name] == (GOLDEN / name).read_bytes()
 
-        # Rerun on the warm cache: zero network calls, byte-identical bundle.
+        # Rerun on the warm cache: zero network calls, byte-identical bundle,
+        # the cache left as it was.
+        cached = pack.read_bytes()
         broken = RoutingSession(lambda params: (_ for _ in ()).throw(AssertionError("network")))
         self.run_all(config, broken)
         assert broken.calls == []
         for name, payload in first.items():
             assert (Path(config.output_dir) / name).read_bytes() == payload
+        assert list(Path(config.cache_dir).iterdir()) == [pack]
+        assert pack.read_bytes() == cached
+        assert not list(Path(config.output_dir).rglob("*.tmp"))
 
-    def test_offline_ingest_replays_a_two_file_cache(self, tmp_path):
+    def replay_older_layout(self, tmp_path, write_entry):
+        """Crawl, rewrite the cache with ``write_entry`` per answer, replay it offline."""
         config = self.make_config(tmp_path)
         session = RoutingSession(MiniwikiApi())
         stage_ingest(config, MediaWikiClient(config, session=session, sleep=lambda s: None))
-        ingest_outputs = ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv",
-                          "fetch_manifest.json"]
-        cold = {name: (Path(config.output_dir) / name).read_bytes() for name in ingest_outputs}
-        # Rewrite the whole cache in the layout earlier versions wrote.
-        for path in Path(config.cache_dir).glob("*.entry"):
-            header, payload = path.read_bytes().split(b"\n", 1)
-            meta = json.loads(header)
-            write_legacy_cache_entry(config.cache_dir, meta["key"], meta["fetched_at"], payload)
-            path.unlink()
-        assert not list(Path(config.cache_dir).glob("*.entry"))
+        cold = {name: (Path(config.output_dir) / name).read_bytes() for name in INGEST_OUTPUTS}
+        [pack] = Path(config.cache_dir).iterdir()
+        for header, payload in read_pack(pack):
+            write_entry(config.cache_dir, header["key"], header["fetched_at"], payload)
+        pack.unlink()
+        before = sorted(p.name for p in Path(config.cache_dir).iterdir())
+        assert len(before) >= len(session.calls)
 
         config.output_dir = str(tmp_path / "replay")
         config.offline = True
@@ -985,7 +991,49 @@ class TestMockedIngestRun:
         assert broken.calls == []
         for name, payload in cold.items():
             assert (Path(config.output_dir) / name).read_bytes() == payload
-        assert not list(Path(config.cache_dir).glob("*.entry"))
+        assert sorted(p.name for p in Path(config.cache_dir).iterdir()) == before
+
+    def test_offline_ingest_replays_a_two_file_cache(self, tmp_path):
+        self.replay_older_layout(tmp_path, write_legacy_cache_entry)
+
+    def test_offline_ingest_replays_a_per_file_cache(self, tmp_path):
+        self.replay_older_layout(tmp_path, write_per_file_cache_entry)
+
+    def test_interrupted_crawl_resumes_into_a_second_pack(self, tmp_path):
+        whole = self.make_config(tmp_path / "whole")
+        uninterrupted = RoutingSession(MiniwikiApi())
+        stage_ingest(whole, MediaWikiClient(whole, session=uninterrupted, sleep=lambda s: None))
+
+        config = self.make_config(tmp_path)
+        answered, api = 7, MiniwikiApi()
+
+        def interrupt_after_answers(params):
+            if len(interrupted.calls) > answered:
+                raise KeyboardInterrupt
+            return api(params)
+
+        interrupted = RoutingSession(interrupt_after_answers)
+        with pytest.raises(KeyboardInterrupt):
+            stage_ingest(config, MediaWikiClient(config, session=interrupted, sleep=lambda s: None))
+        rerun = RoutingSession(MiniwikiApi())
+        stage_ingest(config, MediaWikiClient(config, session=rerun, sleep=lambda s: None))
+
+        assert len(uninterrupted.calls) > answered + 1
+        assert interrupted.calls[:answered] == uninterrupted.calls[:answered]
+        assert rerun.calls == uninterrupted.calls[answered:]
+        packs = sorted(Path(config.cache_dir).iterdir())
+        assert [len(read_pack(pack)) for pack in packs] == [answered, len(rerun.calls)]
+        for name in INGEST_OUTPUTS[:-1]:
+            assert (Path(config.output_dir) / name).read_bytes() == (
+                Path(whole.output_dir) / name
+            ).read_bytes()
+        resumed, expected = (
+            json.loads((Path(c.output_dir) / "fetch_manifest.json").read_text())
+            for c in (config, whole)
+        )
+        for manifest in (resumed, expected):
+            del manifest["earliest_fetch"], manifest["latest_fetch"]
+        assert resumed == expected == {"requests": len(uninterrupted.calls)}
 
     def test_failed_ingest_keeps_previous_downloads(self, tmp_path):
         config = self.make_config(tmp_path)
