@@ -16,6 +16,8 @@ log2(n). They are computed in O(E) from the edge list, never from an n×n
 matrix: the entropy of node i's step is log2 s_i − Σ_j w_ij log2 w_ij / s_i,
 and the mean step distribution accumulates w_ij / (n·s_i) per edge. The
 same pass gives the average strength, the mean of s_i over those n nodes.
+numpy is imported on the first call of :func:`effective_information`, so
+the stages that only build or read graphs never load it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
-
-import numpy as np
 
 __all__ = [
     "SelfLoopError",
@@ -118,6 +118,8 @@ def effective_information(g: WeightedGraph) -> StructureMetrics:
     Raises:
         ValueError: if fewer than 2 nodes are non-isolated.
     """
+    import numpy as np
+
     # Sorted edges make the floating-point sums independent of insertion order.
     edges = sorted(g._edges.items())
     index: dict[str, int] = {}

@@ -109,7 +109,8 @@ def _assessment_rows(
             raise ValueError(
                 f"assessments CSV line {reader.line_num}: row lacks a required column"
             ) from None
-        if not is_main_namespace(article):
+        # A title without a colon carries no namespace prefix.
+        if ":" in article and not is_main_namespace(article):
             continue
         grade = grades.get(raw_grade)
         if grade is None:

@@ -6,17 +6,21 @@ come from it. A design whose scaled columns have a condition estimate
 cond(X)² above 1e12 aborts the fit and names the columns that carry the
 near-dependency; a column's units do not change the verdict. Standard errors
 are the conventional non-robust σ̂²(XᵀX)⁻¹ diagonal.
+
+numpy is imported by each function that computes with it, on its first
+call, so a process that never summarizes, correlates or fits never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .special import f_sf, t_sf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Descriptives",
@@ -51,12 +55,24 @@ def descriptives(values: Sequence[float]) -> Descriptives:
     Raises:
         ValueError: on an empty column.
     """
+    import numpy as np
+
     data = np.asarray(values, dtype=float)
     if data.size == 0:
         raise ValueError("cannot summarize an empty column")
     mean = float(data.mean())
     sd = float(data.std(ddof=1)) if data.size > 1 else None
-    return Descriptives(mean=mean, sd=sd, median=float(np.median(data)), n=data.size)
+    # np.median gives the same values, but its first call imports numpy.ma.
+    # np.sort puts NaN last, and a NaN makes the median NaN, as np.median does.
+    ordered = np.sort(data)
+    mid = data.size // 2
+    if math.isnan(ordered[-1]):
+        median = math.nan
+    elif data.size % 2:
+        median = float(ordered[mid])
+    else:
+        median = float((ordered[mid - 1] + ordered[mid]) / 2)
+    return Descriptives(mean=mean, sd=sd, median=median, n=data.size)
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -68,6 +84,8 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     Raises:
         ValueError: on unequal lengths, fewer than 3 points, or zero variance.
     """
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape:
@@ -132,6 +150,8 @@ class OlsFit:
 
     def param_vector(self) -> np.ndarray:
         """Coefficients ordered intercept-first, matching ``covariance``."""
+        import numpy as np
+
         return np.array(
             [self.coefficients[INTERCEPT]]
             + [self.coefficients[name] for name in self.predictors]
@@ -142,6 +162,8 @@ def _column(
     data: Mapping[str, Sequence[float]], name: str, rows: Optional[int] = None
 ) -> np.ndarray:
     """``data[name]`` as a float vector, which must hold ``rows`` values if given."""
+    import numpy as np
+
     if name not in data:
         raise KeyError(f"no column {name!r}; have {list(data)}")
     column = np.asarray(data[name], dtype=float)
@@ -171,6 +193,8 @@ def ols_fit(
             missing values, too few rows (n < k+1), or a rank deficient
             design (collinear columns are named).
     """
+    import numpy as np
+
     names = [INTERCEPT, *predictors]
     y = _column(data, response)
     x = np.column_stack(
@@ -297,6 +321,8 @@ def linear_hypothesis(
     Raises:
         ValueError: on a dimension mismatch or singular restricted covariance.
     """
+    import numpy as np
+
     weights = np.asarray(combination, dtype=float)
     k_plus_1 = len(fit.predictors) + 1
     if weights.shape != (k_plus_1,):

@@ -7,6 +7,12 @@ from pathlib import Path
 
 import wikicomm
 from wikicomm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NETWORK, main
+from wikicomm.client import MediaWikiClient
+from wikicomm.config import PipelineConfig
+from wikicomm.pipeline import stage_ingest
+
+from fakes import RoutingSession
+from test_pipeline import INGEST_OUTPUTS, MiniwikiApi
 
 MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
 
@@ -108,21 +114,77 @@ DROPPED = ("click",)
 
 def test_offline_run_loads_no_http_stack(tmp_path):
     # Only what the import and the run add counts: a site hook may load some
-    # of these modules when the interpreter starts.
+    # of these modules when the interpreter starts. numpy loads in the run,
+    # not on import, and numpy.ma never.
     config = write_config(tmp_path)
     seed(tmp_path)
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import wikicomm.cli\n"
+        "on_import = set(sys.modules) - before\n"
         f"assert wikicomm.cli.main(['--config', {str(config)!r}, '--offline', 'run']) == 0\n"
         "added = set(sys.modules) - before\n"
         f"stack = {HTTP_STACK + DROPPED!r}\n"
         "print(sorted(m for m in added if m in stack or m.startswith(tuple(p + '.' for p in stack))))\n"
+        "print('numpy' in on_import, 'numpy' in added, 'numpy.ma' in added)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(wikicomm.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert result.stdout.strip().splitlines()[-2:] == ["[]", "False True False"]
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def run_without_numpy(config: Path, command: str) -> subprocess.CompletedProcess:
+    """``wikicomm --offline <command>`` in a fresh interpreter where ``import numpy`` fails."""
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import wikicomm.cli\n"
+        f"sys.exit(wikicomm.cli.main(['--config', {str(config)!r}, '--offline', {command!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wikicomm.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def output_files(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class TestNumpyLoadsOnlyWhereUsed:
+    def test_stages_that_do_not_compute_run_without_numpy(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        seed(tmp_path)
+        assert main(["--config", str(config), "--offline", "run"]) == 0
+        expected = output_files(out)
+        shutil.rmtree(out)
+        seed(tmp_path)
+        for command in ["ingest", "parse", "build"]:
+            result = run_without_numpy(config, command)
+            assert result.returncode == 0, (command, result.stderr)
+        result = run_without_numpy(config, "quality")
+        assert result.returncode == 1
+        # A host without numpy reads "No module named 'numpy'" after the colon.
+        assert result.stderr.startswith("error: stage 'quality' failed: ")
+        assert "numpy" in result.stderr
+        for command in ["quality", "metrics", "regress"]:
+            assert main(["--config", str(config), "--offline", command]) == 0
+        result = run_without_numpy(config, "report")
+        assert result.returncode == 0, result.stderr
+        assert output_files(out) == expected
+
+    def test_offline_replay_of_a_warm_cache_runs_without_numpy(self, tmp_path):
+        config_path = write_config(tmp_path, request_interval=0.001)
+        config = PipelineConfig.from_file(config_path)
+        session = RoutingSession(MiniwikiApi())
+        stage_ingest(config, MediaWikiClient(config, session=session, sleep=lambda s: None))
+        out = tmp_path / "out"
+        cold = {name: (out / name).read_bytes() for name in INGEST_OUTPUTS}
+        for name in INGEST_OUTPUTS:
+            (out / name).unlink()
+        result = run_without_numpy(config_path, "ingest")
+        assert result.returncode == 0, result.stderr
+        assert {name: (out / name).read_bytes() for name in INGEST_OUTPUTS} == cold

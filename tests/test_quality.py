@@ -249,6 +249,18 @@ class TestNamespaceFilter:
     def test_cases(self, title, expected):
         assert is_main_namespace(title) is expected
 
+    def test_row_filter_agrees_with_is_main_namespace(self):
+        # The reader calls is_main_namespace only for titles holding a colon.
+        titles = ["Foo", ":Foo", "Foo:", "Talk:X", "A:B:C", "Wikipedia_talk:X", "Template : X"]
+        source = io.StringIO()
+        writer = csv.writer(source, lineterminator="\n")
+        writer.writerow(["project", "article", "grade"])
+        writer.writerows(["P", title, "GA"] for title in titles)
+        source.seek(0)
+        kept = [article for _, article, _ in read_assessments_csv(source)]
+        assert kept == [title for title in titles if is_main_namespace(title)]
+        assert kept == ["Foo", ":Foo", "Foo:", "A:B:C"]
+
 
 class TestCsv:
     def test_round_trip(self):

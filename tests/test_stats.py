@@ -35,6 +35,21 @@ class TestDescriptives:
         with pytest.raises(ValueError):
             descriptives([])
 
+    def test_median_equals_numpy_median(self):
+        # Rounded log-normal values tie often; odd and even lengths, small and large.
+        rng = np.random.default_rng(20)
+        for n in [*range(1, 60), 419, 1000]:
+            for _ in range(20):
+                column = np.round(rng.lognormal(0.0, 1.0, n), 1).tolist()
+                assert descriptives(column).median == float(np.median(column)), column
+
+    def test_median_of_ties_and_missing_values(self):
+        for column in [[2, 2, 2, 2], [1, 2, 2, 3], [5, 1, 5],
+                       [1, math.nan, 2], [math.nan, 3], [math.nan]]:
+            expected = float(np.median(column))
+            median = descriptives(column).median
+            assert median == expected or (math.isnan(median) and math.isnan(expected)), column
+
 
 class TestPearson:
     def test_perfect_positive(self):
