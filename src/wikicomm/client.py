@@ -11,6 +11,9 @@ payload size, then the payload bytes as received. A record cut short by an
 interrupted write can only end a pack, and is ignored. The per-answer files
 of earlier versions, ``<sha256(key)>.entry`` and the ``<sha256>.body`` +
 ``<sha256>.meta.json`` pair, are still read and never written.
+The client sends two fixed queries, ``PAGE_QUERY`` per title and the paged
+``ASSESSMENTS_QUERY``. Both ask for ``formatversion=2``, the one response
+shape it reads; an answer of another shape fails with :class:`DataError`.
 The ``session`` constructor argument is the seam tests use to stay offline.
 ``requests`` is imported only when the client builds its own session, on
 its first live fetch, so offline runs never load the HTTP stack.
@@ -38,6 +41,28 @@ __all__ = ["FetchExhaustedError", "DataError", "CacheEntry", "ResponseCache", "M
 log = logging.getLogger(__name__)
 
 _THROTTLE_STATUSES = {429, 500, 502, 503, 504}
+
+# Every request is one of these plus ``titles`` or a continuation. A cache key
+# embeds them. ``rvslots`` needs MediaWiki >= 1.32, which has formatversion 2.
+PAGE_QUERY = {
+    "action": "query",
+    "prop": "revisions",
+    "rvprop": "content",
+    "rvslots": "main",
+    "format": "json",
+    "formatversion": "2",
+}
+ASSESSMENTS_QUERY = {
+    "action": "query",
+    "generator": "allpages",
+    "gaplimit": "200",
+    "prop": "pageassessments",
+    "palimit": "max",
+    "format": "json",
+    "formatversion": "2",
+}
+# The pages of a Wikiproject scanned for member signatures.
+PROJECT_SUBPAGES = ("", "/Members", "/Participants")
 
 
 class FetchExhaustedError(Exception):
@@ -211,10 +236,25 @@ def _json_object(payload: bytes) -> Optional[dict]:
     return body if isinstance(body, dict) else None
 
 
-def _pages(body: dict) -> list[dict]:
-    """The pages of an answer's ``query.pages``: a list, or by page id in formatversion=1."""
-    pages = body.get("query", {}).get("pages", [])
-    return list(pages.values()) if isinstance(pages, dict) else pages
+def _pages(body: dict, params: dict[str, str]) -> list[dict]:
+    """The page objects of an answer's ``query.pages``; none if it has no ``query``."""
+    query = body.get("query", {})
+    pages = query.get("pages", []) if isinstance(query, dict) else None
+    if not isinstance(pages, list) or not all(isinstance(page, dict) for page in pages):
+        raise DataError(f"malformed query.pages for request {params}")
+    return pages
+
+
+def _page_wikitext(page: dict, params: dict[str, str]) -> Optional[str]:
+    """``revisions[0].slots.main.content`` of a page; None if the answer leaves it out."""
+    try:
+        revision = (page.get("revisions") or [{}])[0]
+        content = revision.get("slots", {}).get("main", {}).get("content")
+        if content is None or isinstance(content, str):
+            return content
+    except (AttributeError, LookupError, TypeError):
+        pass
+    raise DataError(f"malformed revisions for request {params}")
 
 
 class MediaWikiClient:
@@ -317,39 +357,29 @@ class MediaWikiClient:
 
     # -- page fetchers ------------------------------------------------------
 
-    @staticmethod
-    def _page_wikitext(page: dict) -> Optional[str]:
-        revisions = page.get("revisions") or []
-        if not revisions:
-            return None
-        revision = revisions[0]
-        slots = revision.get("slots")
-        if slots:
-            return slots.get("main", {}).get("content")
-        # Legacy (formatversion=1) shape; a blanked page is ``{"*": ""}``.
-        if "*" in revision:
-            return revision["*"]
-        return revision.get("content")
-
-    def fetch_pages(self, titles: Iterable[str], query: dict[str, str]) -> Iterator[dict]:
+    def fetch_pages(self, titles: Iterable[str]) -> Iterator[dict]:
         """Fetch wikitext for each title; missing pages are logged and skipped."""
         for title in titles:
-            params = dict(query)
-            params["titles"] = title
-            for page in _pages(self.get_json(params)):
-                if page.get("missing") or page.get("missing") == "":
+            params = dict(PAGE_QUERY, titles=title)
+            for page in _pages(self.get_json(params), params):
+                if page.get("missing"):
                     log.info("page does not exist, skipped: %s", page.get("title", title))
                     continue
-                wikitext = self._page_wikitext(page)
+                wikitext = _page_wikitext(page, params)
                 if wikitext is None:
                     log.warning("page has no retrievable content, skipped: %s", title)
                     continue
                 yield {"title": page.get("title", title), "wikitext": wikitext}
 
+    def fetch_project_pages(self, project: str) -> Iterator[dict]:
+        """One ``{"title", "wikitext"}`` record per existing page of a Wikiproject."""
+        yield from self.fetch_pages(
+            f"Wikipedia:WikiProject {project}{subpage}" for subpage in PROJECT_SUBPAGES
+        )
+
     def fetch_user_talk_pages(self, usernames: Iterable[str]) -> Iterator[dict]:
         """One ``{"title", "wikitext"}`` record per existing user talk page."""
-        titles = (f"User talk:{name}" for name in usernames)
-        yield from self.fetch_pages(titles, self.config.user_talk_query)
+        yield from self.fetch_pages(f"User talk:{name}" for name in usernames)
 
     def fetch_assessments(self) -> Iterator[dict]:
         """Yield ``{"project", "article", "grade"}`` rows from paginated queries.
@@ -357,18 +387,21 @@ class MediaWikiClient:
         Follows continuation tokens; a server that repeats a continuation
         token would loop forever, so repeats abort with :class:`DataError`.
         """
-        params = dict(self.config.assessments_query)
+        params = dict(ASSESSMENTS_QUERY)
         seen_tokens: set[str] = set()
         while True:
             body = self.get_json(params)
-            for page in _pages(body):
+            for page in _pages(body, params):
                 title = page.get("title", "")
-                for project, assessment in (page.get("pageassessments") or {}).items():
-                    yield {
-                        "project": project,
-                        "article": title,
-                        "grade": assessment.get("class", "") or "",
-                    }
+                try:
+                    for project, assessment in (page.get("pageassessments") or {}).items():
+                        yield {
+                            "project": project,
+                            "article": title,
+                            "grade": assessment.get("class", "") or "",
+                        }
+                except AttributeError:
+                    raise DataError(f"malformed pageassessments for request {params}") from None
             cont = body.get("continue")
             if not cont:
                 return
@@ -376,5 +409,5 @@ class MediaWikiClient:
             if token in seen_tokens:
                 raise DataError(f"continuation loop detected: server repeated {cont}")
             seen_tokens.add(token)
-            params = dict(self.config.assessments_query)
+            params = dict(ASSESSMENTS_QUERY)
             params.update(cont)

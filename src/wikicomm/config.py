@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -16,29 +15,6 @@ from .wikitext import (
 )
 
 __all__ = ["ConfigError", "PipelineConfig", "normalize_project_name"]
-
-ENV_API_BASE_URL = "WIKICOMM_API_BASE_URL"
-
-# Working defaults; both query parameter sets are configuration because the
-# right extraction endpoint can differ between wikis and API versions. The
-# content query also serves project-page fetches.
-DEFAULT_USER_TALK_QUERY = {
-    "action": "query",
-    "prop": "revisions",
-    "rvprop": "content",
-    "rvslots": "main",
-    "format": "json",
-    "formatversion": "2",
-}
-DEFAULT_ASSESSMENTS_QUERY = {
-    "action": "query",
-    "generator": "allpages",
-    "gaplimit": "200",
-    "prop": "pageassessments",
-    "palimit": "max",
-    "format": "json",
-    "formatversion": "2",
-}
 
 
 class ConfigError(Exception):
@@ -101,21 +77,11 @@ class PipelineConfig:
         default_factory=lambda: list(DEFAULT_MASS_MESSAGE_MARKERS)
     )
     project_aliases: dict[str, str] = field(default_factory=dict)
-    project_subpages: list[str] = field(
-        default_factory=lambda: ["", "/Members", "/Participants"]
-    )
-    user_talk_query: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_USER_TALK_QUERY))
-    assessments_query: dict[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_ASSESSMENTS_QUERY)
-    )
     require_both_members: bool = True
     user_agent: str = "wikicomm/0.1 (collaboration-network research toolkit)"
     offline: bool = False
 
     def __post_init__(self) -> None:
-        env_url = os.environ.get(ENV_API_BASE_URL)
-        if env_url:
-            self.api_base_url = env_url
         if self.request_interval <= 0:
             raise ConfigError(f"request_interval must be > 0, got {self.request_interval}")
         if self.min_active_nodes < 2:

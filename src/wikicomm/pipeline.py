@@ -157,11 +157,7 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
     ) as f_talk, _replaced_on_success(out / "assessments.csv") as f_assessments:
         for project in projects:
             pages = []
-            titles = [
-                f"Wikipedia:WikiProject {project}{subpage}"
-                for subpage in config.project_subpages
-            ]
-            for record in client.fetch_pages(titles, config.user_talk_query):
+            for record in client.fetch_project_pages(project):
                 pages.append((record["title"], record["wikitext"]))
                 f_projects.write(
                     json.dumps(
@@ -395,9 +391,12 @@ def _read_interactions(path: Path) -> Iterator[tuple[str, str, int]]:
     with open(path, encoding="utf-8", newline="") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3 or not parts[2].isdigit():
+            # A count is ASCII digits of a value >= 1; str.isdigit alone takes "²".
+            valid = len(parts) == 3 and parts[2].isascii() and parts[2].isdigit()
+            count = int(parts[2]) if valid else 0
+            if count < 1:
                 raise ValueError(f"{path.name} line {lineno}: malformed line {line!r}")
-            yield parts[0], parts[1], int(parts[2])
+            yield parts[0], parts[1], count
 
 
 def stage_build(config: PipelineConfig) -> int:

@@ -14,6 +14,7 @@ import wikicomm.pipeline as pipeline
 from wikicomm.cli import EXIT_DATA, EXIT_NETWORK, main
 from wikicomm.client import (
     DataError,
+    PAGE_QUERY,
     FetchExhaustedError,
     MediaWikiClient,
     ResponseCache,
@@ -239,24 +240,47 @@ class TestFetching:
         assert [r["title"] for r in records] == ["User talk:Alice"]
         assert any("does not exist" in message for message in caplog.messages)
 
-    def test_legacy_formatversion_shape(self, tmp_path):
-        body = {
-            "query": {
-                "pages": {"123": {"title": "User talk:Old", "revisions": [{"*": "legacy"}]}}
-            }
-        }
-        client, _, _ = make_client(tmp_path, [(200, body)])
-        records = list(client.fetch_user_talk_pages(["Old"]))
-        assert records == [{"title": "User talk:Old", "wikitext": "legacy"}]
+    def test_blank_page_kept(self, tmp_path):
+        client, _, _ = make_client(tmp_path, [(200, page_response("User talk:New", ""))])
+        records = list(client.fetch_user_talk_pages(["New"]))
+        assert records == [{"title": "User talk:New", "wikitext": ""}]
 
-    def test_blank_page_kept_in_both_shapes(self, tmp_path):
-        legacy = {"query": {"pages": {"7": {"title": "User talk:Old", "revisions": [{"*": ""}]}}}}
-        blanked = page_response("User talk:New", "")
-        client, _, _ = make_client(tmp_path, [(200, legacy), (200, blanked)])
-        records = list(client.fetch_user_talk_pages(["Old", "New"]))
-        assert records == [
-            {"title": "User talk:Old", "wikitext": ""},
-            {"title": "User talk:New", "wikitext": ""},
+    def test_page_without_content_skipped(self, tmp_path, caplog):
+        hidden = {"query": {"pages": [{"title": "User talk:H", "revisions": [{"slots": {}}]}]}}
+        script = [(200, hidden), (200, page_response("User talk:Alice", "hi"))]
+        client, _, _ = make_client(tmp_path, script)
+        with caplog.at_level("WARNING"):
+            records = list(client.fetch_user_talk_pages(["H", "Alice"]))
+        assert [r["title"] for r in records] == ["User talk:Alice"]
+        assert caplog.messages == ["page has no retrievable content, skipped: User talk:H"]
+
+    def test_project_pages_are_the_main_page_and_two_subpages(self, tmp_path):
+        config = make_config(tmp_path)
+        session = RoutingSession(lambda params: (200, page_response(params["titles"], "x")))
+        client = MediaWikiClient(config, session=session, sleep=lambda s: None)
+        records = list(client.fetch_project_pages("Birds"))
+        titles = ["Wikipedia:WikiProject Birds", "Wikipedia:WikiProject Birds/Members",
+                  "Wikipedia:WikiProject Birds/Participants"]
+        assert [call["titles"] for call in session.calls] == titles
+        assert records == [{"title": title, "wikitext": "x"} for title in titles]
+
+    def test_cache_keys_are_those_of_earlier_versions(self, tmp_path):
+        # Caches written before the queries moved into the client, and the
+        # ``crawl`` replay, hit only if every key stays byte-identical.
+        assessments = assessments_response([])
+        script = [(200, page_response("User talk:A", "x")), (200, assessments)]
+        client, session, _ = make_client(tmp_path, script)
+        list(client.fetch_user_talk_pages(["A"]))
+        list(client.fetch_assessments())
+        keys = [canonical_request(client.config.api_base_url, call["params"])
+                for call in session.calls]
+        assert keys == [
+            '{"params": {"action": "query", "format": "json", "formatversion": "2", '
+            '"prop": "revisions", "rvprop": "content", "rvslots": "main", '
+            '"titles": "User talk:A"}, "url": "https://en.wikipedia.org/w/api.php"}',
+            '{"params": {"action": "query", "format": "json", "formatversion": "2", '
+            '"gaplimit": "200", "generator": "allpages", "palimit": "max", '
+            '"prop": "pageassessments"}, "url": "https://en.wikipedia.org/w/api.php"}',
         ]
 
     def test_throttle_then_success_backs_off(self, tmp_path):
@@ -457,7 +481,7 @@ class TestOnlyAnswersAreCached:
     ], ids=["error-envelope", "html"])
     def test_cached_entry_that_is_no_answer_fails(self, tmp_path, payload):
         config = make_config(tmp_path)
-        params = dict(config.user_talk_query, titles="User talk:A")
+        params = dict(PAGE_QUERY, titles="User talk:A")
         Path(config.cache_dir).mkdir()
         write_legacy_cache_entry(config.cache_dir, canonical_request(config.api_base_url, params),
                                  "2021-02-01T12:30:00+00:00", payload)
@@ -466,6 +490,34 @@ class TestOnlyAnswersAreCached:
         with pytest.raises(DataError, match="User talk:A"):
             list(client.fetch_user_talk_pages(["A"]))
         assert session.calls == []
+
+
+# Answers whose pages are not where formatversion 2 puts them.
+MALFORMED_ANSWERS = [
+    {"query": {"pages": "x"}},
+    {"query": []},
+    {"query": {"pages": [5]}},
+    {"query": {"pages": [{"title": "T", "revisions": "x", "pageassessments": "x"}]}},
+]
+MALFORMED_IDS = ["pages_string", "query_list", "page_number", "page_fields_strings"]
+
+
+class TestMalformedAnswers:
+    @pytest.mark.parametrize("body", MALFORMED_ANSWERS, ids=MALFORMED_IDS)
+    @pytest.mark.parametrize("fetch, request_part", [
+        (lambda client: client.fetch_user_talk_pages(["A"]), "User talk:A"),
+        (lambda client: client.fetch_assessments(), "pageassessments"),
+    ], ids=["fetch_user_talk_pages", "fetch_assessments"])
+    def test_data_error_names_the_request(self, tmp_path, body, fetch, request_part):
+        client, session, _ = make_client(tmp_path, [(200, body)])
+        with pytest.raises(DataError, match=rf"^malformed .* request .*{request_part}"):
+            list(fetch(client))
+        assert len(session.calls) == 1
+
+    def test_cli_exits_4(self, tmp_path, monkeypatch, capsys):
+        session = RoutingSession(lambda params: (200, MALFORMED_ANSWERS[0]))
+        assert ingest_cli(tmp_path, monkeypatch, session) == EXIT_DATA
+        assert "malformed" in capsys.readouterr().err
 
 
 @pytest.fixture

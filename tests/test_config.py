@@ -1,8 +1,12 @@
 import io
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from wikicomm.cli import EXIT_CONFIG, main
 from wikicomm.config import ConfigError, PipelineConfig, normalize_project_name
 
 
@@ -65,11 +69,6 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(tmp_path / "nothing.json")
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WIKICOMM_API_BASE_URL", "http://localhost:8080/w/api.php")
-        config = PipelineConfig()
-        assert config.api_base_url == "http://localhost:8080/w/api.php"
-
     def test_canonical_projects_dedupes_preserving_order(self):
         config = PipelineConfig(
             projects=["Wikipedia:WikiProject Kites", "kites", "Asters"]
@@ -96,12 +95,24 @@ class TestPipelineConfig:
             ('{"p_exponent": false}', "p_exponent"),
             ('{"api_base_url": null}', "api_base_url"),
             ('{"project_aliases": {"Juniper trees": 1}}', "project_aliases"),
-            ('{"user_talk_query": ["action", "query"]}', "user_talk_query"),
         ],
     )
     def test_from_json_rejects_wrong_types(self, text, key):
         with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
             PipelineConfig.from_json(io.StringIO(text))
+
+    @pytest.mark.parametrize("key", ["user_talk_query", "assessments_query", "project_subpages"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: {}}))
+        assert main(["--config", str(path), "ingest"]) == EXIT_CONFIG
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
 
     def test_from_json_takes_an_integer_for_a_number(self):
         config = PipelineConfig.from_json(io.StringIO('{"p_exponent": 1, "request_interval": 2}'))

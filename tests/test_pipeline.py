@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -291,6 +292,24 @@ class TestGoldenRun:
         (out / "interactions.tsv").unlink()
         before = read_out(config)
         with pytest.raises(PipelineStageError, match=r"'build'.*interactions\.tsv"):
+            run_stage("build", config)
+        assert read_out(config) == before
+
+    @pytest.mark.parametrize("line", [
+        "A\tB", "A\tB\t1\tC", "A\tB\tx", "A\tB\t", "A\tB\t-1", "A\tB\t0", "A\tB\t\u00b2",
+    ], ids=["two_fields", "four_fields", "letter", "empty", "negative", "zero", "superscript"])
+    def test_malformed_interactions_line_fails_build_naming_it(self, tmp_path, line):
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build"]:
+            run_stage(stage, config)
+        path = Path(config.output_dir) / "interactions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = line + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        before = read_out(config)
+        expected = f"interactions.tsv line 3: malformed line {line + chr(10)!r}"
+        with pytest.raises(PipelineStageError, match=f"'build'.*{re.escape(expected)}$"):
             run_stage("build", config)
         assert read_out(config) == before
 
