@@ -237,10 +237,15 @@ def _json_object(payload: bytes) -> Optional[dict]:
 
 
 def _pages(body: dict, params: dict[str, str]) -> list[dict]:
-    """The page objects of an answer's ``query.pages``; none if it has no ``query``."""
+    """The page objects of an answer's ``query.pages``; none if it has no ``query``.
+
+    Each page must be an object, and its ``title``, if any, a string.
+    """
     query = body.get("query", {})
     pages = query.get("pages", []) if isinstance(query, dict) else None
-    if not isinstance(pages, list) or not all(isinstance(page, dict) for page in pages):
+    if not isinstance(pages, list) or not all(
+        isinstance(page, dict) and isinstance(page.get("title", ""), str) for page in pages
+    ):
         raise DataError(f"malformed query.pages for request {params}")
     return pages
 
@@ -392,19 +397,19 @@ class MediaWikiClient:
         while True:
             body = self.get_json(params)
             for page in _pages(body, params):
-                title = page.get("title", "")
-                try:
-                    for project, assessment in (page.get("pageassessments") or {}).items():
-                        yield {
-                            "project": project,
-                            "article": title,
-                            "grade": assessment.get("class", "") or "",
-                        }
-                except AttributeError:
-                    raise DataError(f"malformed pageassessments for request {params}") from None
+                assessments = page.get("pageassessments") or {}
+                if not isinstance(assessments, dict):
+                    raise DataError(f"malformed pageassessments for request {params}")
+                for project, assessment in assessments.items():
+                    grade = assessment.get("class", "") if isinstance(assessment, dict) else None
+                    if not isinstance(grade, str):
+                        raise DataError(f"malformed pageassessments for request {params}")
+                    yield {"project": project, "article": page.get("title", ""), "grade": grade}
             cont = body.get("continue")
             if not cont:
                 return
+            if not isinstance(cont, dict) or not all(isinstance(v, str) for v in cont.values()):
+                raise DataError(f"malformed continue for request {params}")
             token = json.dumps(cont, sort_keys=True)
             if token in seen_tokens:
                 raise DataError(f"continuation loop detected: server repeated {cont}")

@@ -77,7 +77,6 @@ class PipelineConfig:
         default_factory=lambda: list(DEFAULT_MASS_MESSAGE_MARKERS)
     )
     project_aliases: dict[str, str] = field(default_factory=dict)
-    require_both_members: bool = True
     user_agent: str = "wikicomm/0.1 (collaboration-network research toolkit)"
     offline: bool = False
 
@@ -137,5 +136,4 @@ class PipelineConfig:
             "p_exponent": self.p_exponent,
             "min_active_nodes": self.min_active_nodes,
             "projects": self.canonical_projects(),
-            "require_both_members": self.require_both_members,
         }

@@ -182,10 +182,9 @@ def read_edge_list(source: IO[str]) -> WeightedGraph:
         parts = line.split("\t")
         if len(parts) == 3:
             u, v, w = parts
-            try:
-                weight = int(w)
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
+            if not (w.isascii() and w.isdigit()):
+                raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}")
+            weight = int(w)
             if weight < 1:
                 raise ValueError(f"line {lineno}: edge weight must be >= 1, got {w}")
             if u == v:

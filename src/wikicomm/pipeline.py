@@ -419,9 +419,7 @@ def stage_build(config: PipelineConfig) -> int:
     rows = []
     slugs: set[str] = set()
     with _dir_replaced_on_success(out / "networks") as networks_dir:
-        for project, network in build_networks(
-            _read_interactions(interactions), members, config.require_both_members
-        ):
+        for project, network in build_networks(_read_interactions(interactions), members):
             slug = _slug(project)
             if slug in slugs:
                 raise ValueError(f"project slug collision for {project!r}")

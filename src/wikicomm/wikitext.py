@@ -85,7 +85,6 @@ def canonical_username(raw: str) -> str:
 class TalkPage:
     """A user talk page; ``owner`` is derived from the title prefix."""
 
-    title: str
     owner: str
     wikitext: str
 
@@ -100,7 +99,7 @@ class TalkPage:
         if not m:
             raise ValueError(f"not a user talk page title: {title!r}")
         owner = canonical_username(m.group(1).split("/", 1)[0])
-        return cls(title=title, owner=owner, wikitext=wikitext)
+        return cls(owner=owner, wikitext=wikitext)
 
 
 def _timestamp_matches(text: str) -> Iterator[re.Match]:

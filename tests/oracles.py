@@ -73,27 +73,21 @@ def direct_structure_metrics(edges: dict[tuple[str, str], int]) -> tuple[float, 
     return det, deg, n
 
 
-def direct_networks(posts, members_by_project, require_both_members=True):
+def direct_networks(posts, members_by_project):
     """Per project: (node set, {(u, v): weight} with u < v), rescanning every post.
 
     Each project's members are nodes; a post counts when its author and page
-    owner differ and both (or, without ``require_both_members``, either) are
-    members of that project.
+    owner differ and both are members of that project.
     """
     networks = {}
     for project, members in members_by_project.items():
         member_set = set(members)
-        nodes = set(member_set)
         edges: dict[tuple[str, str], int] = {}
         for author, owner in posts:
-            if author == owner:
-                continue
-            inside = [author in member_set, owner in member_set]
-            if (all(inside) if require_both_members else any(inside)):
+            if author != owner and author in member_set and owner in member_set:
                 key = (min(author, owner), max(author, owner))
                 edges[key] = edges.get(key, 0) + 1
-                nodes.update(key)
-        networks[project] = (nodes, edges)
+        networks[project] = (member_set, edges)
     return networks
 
 

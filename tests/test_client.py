@@ -498,8 +498,21 @@ MALFORMED_ANSWERS = [
     {"query": []},
     {"query": {"pages": [5]}},
     {"query": {"pages": [{"title": "T", "revisions": "x", "pageassessments": "x"}]}},
+    {"query": {"pages": [{"title": 5, "pageassessments": {"P": {"class": "FA"}}}]}},
 ]
-MALFORMED_IDS = ["pages_string", "query_list", "page_number", "page_fields_strings"]
+MALFORMED_IDS = [
+    "pages_string", "query_list", "page_number", "page_fields_strings", "title_number"
+]
+# Malformed only where the assessments query reads: a page fetch ignores them.
+MALFORMED_ASSESSMENTS = [
+    {"query": {"pages": [{"title": "T", "pageassessments": {"P": {"class": 3}}}]}},
+    {"query": {"pages": [{"title": "T", "pageassessments": {"P": "FA"}}]}},
+    {"query": {"pages": []}, "continue": "x"},
+    {"query": {"pages": []}, "continue": {"gapcontinue": 5}},
+]
+MALFORMED_ASSESSMENTS_IDS = [
+    "class_number", "assessment_string", "continue_string", "continue_value_number"
+]
 
 
 class TestMalformedAnswers:
@@ -512,6 +525,13 @@ class TestMalformedAnswers:
         client, session, _ = make_client(tmp_path, [(200, body)])
         with pytest.raises(DataError, match=rf"^malformed .* request .*{request_part}"):
             list(fetch(client))
+        assert len(session.calls) == 1
+
+    @pytest.mark.parametrize("body", MALFORMED_ASSESSMENTS, ids=MALFORMED_ASSESSMENTS_IDS)
+    def test_assessments_data_error_names_the_request(self, tmp_path, body):
+        client, session, _ = make_client(tmp_path, [(200, body)])
+        with pytest.raises(DataError, match=r"^malformed .* request .*pageassessments"):
+            list(client.fetch_assessments())
         assert len(session.calls) == 1
 
     def test_cli_exits_4(self, tmp_path, monkeypatch, capsys):

@@ -87,7 +87,6 @@ class TestPipelineConfig:
         [
             ('{"projects": "Birds"}', "projects"),
             ('{"projects": ["Birds", 7]}', "projects"),
-            ('{"require_both_members": "false"}', "require_both_members"),
             ('{"offline": "no"}', "offline"),
             ('{"min_active_nodes": true}', "min_active_nodes"),
             ('{"max_retries": 3.0}', "max_retries"),
@@ -101,7 +100,10 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
             PipelineConfig.from_json(io.StringIO(text))
 
-    @pytest.mark.parametrize("key", ["user_talk_query", "assessments_query", "project_subpages"])
+    @pytest.mark.parametrize(
+        "key",
+        ["user_talk_query", "assessments_query", "project_subpages", "require_both_members"],
+    )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({key: {}}))

@@ -311,8 +311,12 @@ class TestEdgeListFormat:
             read_edge_list(io.StringIO("a\tb\t1\n\nc\td\t0\n"))
 
     def test_non_numeric_weight_line_is_named(self):
-        with pytest.raises(ValueError, match=r"^line 2: malformed edge-list line: 'c\\td\\tx'$"):
-            read_edge_list(io.StringIO("a\tb\t1\nc\td\tx\n"))
+        # int() reads each of these but "x"; a weight is ASCII digits only.
+        for weight in ["x", "1_0", "+2", " 3", "3 ", "-1", "\u0664"]:
+            line = f"c\td\t{weight}"
+            with pytest.raises(ValueError) as excinfo:
+                read_edge_list(io.StringIO(f"a\tb\t1\n{line}\n"))
+            assert str(excinfo.value) == f"line 2: malformed edge-list line: {line!r}"
 
     def test_blank_line_is_skipped(self):
         g = read_edge_list(io.StringIO("a\tb\t2\n\nb\ta\t1\nc\t0\n"))

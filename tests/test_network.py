@@ -10,9 +10,9 @@ from oracles import direct_networks
 MEMBERS = {"A", "B", "C"}
 
 
-def project_network(interactions, members, require_both_members=True) -> WeightedGraph:
+def project_network(interactions, members) -> WeightedGraph:
     """One project's network through the multi-project builder."""
-    return dict(build_networks(interactions, {"P": members}, require_both_members))["P"]
+    return dict(build_networks(interactions, {"P": members}))["P"]
 
 
 def weights(g: WeightedGraph) -> dict[tuple[str, str], int]:
@@ -37,10 +37,6 @@ class TestBuildNetwork:
     def test_non_member_author_excluded(self):
         g = project_network([("Z", "A", 1)], MEMBERS)
         assert weights(g) == {}
-
-    def test_switch_keeps_single_member_edges(self):
-        g = project_network([("A", "Z", 1)], MEMBERS, require_both_members=False)
-        assert weights(g)[("A", "Z")] == 1
 
     def test_total_weight_equals_counted_posts(self):
         posts = [("A", "B", 1), ("B", "C", 1), ("C", "A", 1), ("A", "Z", 1), ("A", "A", 1)]
@@ -104,14 +100,14 @@ def interactions_and_projects(draw):
     return interactions, projects
 
 
-@given(interactions_and_projects(), st.booleans())
+@given(interactions_and_projects())
 @settings(max_examples=200, deadline=None)
-def test_one_pass_builder_matches_per_project_rescan(case, require_both_members):
+def test_one_pass_builder_matches_per_project_rescan(case):
     interactions, projects = case
-    networks = dict(build_networks(iter(interactions), projects, require_both_members))
+    networks = dict(build_networks(iter(interactions), projects))
     # The oracle rescans one (author, owner) post per counted message.
     posts = [(author, owner) for author, owner, count in interactions for _ in range(count)]
-    expected = direct_networks(posts, projects, require_both_members)
+    expected = direct_networks(posts, projects)
     assert list(networks) == sorted(expected)
     for project, (nodes, edges) in expected.items():
         g = networks[project]
@@ -120,11 +116,14 @@ def test_one_pass_builder_matches_per_project_rescan(case, require_both_members)
 
 
 def test_repeated_pairs_in_both_directions_add_up():
-    interactions = [("A", "B", 2), ("B", "A", 3), ("A", "B", 1), ("A", "A", 5), ("C", "Z", 4)]
-    networks = dict(build_networks(interactions, {"Q": {"C"}, "P": MEMBERS}, False))
+    # B-A and C-B come larger endpoint first; C-B is never seen the other way.
+    interactions = [
+        ("B", "A", 3), ("A", "B", 2), ("A", "B", 1), ("A", "A", 5), ("C", "Z", 4), ("C", "B", 7)
+    ]
+    networks = dict(build_networks(interactions, {"Q": {"B", "C", "Z"}, "P": MEMBERS}))
     assert list(networks) == ["P", "Q"]
-    assert list(networks["P"].edges()) == [("A", "B", 6), ("C", "Z", 4)]
-    assert list(networks["Q"].edges()) == [("C", "Z", 4)]
+    assert list(networks["P"].edges()) == [("A", "B", 6), ("B", "C", 7)]
+    assert list(networks["Q"].edges()) == [("B", "C", 7), ("C", "Z", 4)]
 
 
 class TestProjectRecord:
@@ -137,10 +136,6 @@ class TestProjectRecord:
 
     def test_all_isolated(self):
         assert summary_row("P", {"A", "B"}, WeightedGraph()) == ("P", 2, 0, "0.000000")
-
-    def test_fraction_counts_only_members(self):
-        g = project_network([("A", "Z", 1), ("A", "Y", 1)], MEMBERS, require_both_members=False)
-        assert summary_row("P", MEMBERS, g) == ("P", 3, 3, "0.333333")
 
     def test_empty_member_set_errors(self):
         with pytest.raises(ValueError):

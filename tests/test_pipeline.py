@@ -125,26 +125,6 @@ class TestGoldenRun:
         kites = (Path(config.output_dir) / "networks" / "Kites.edges").read_text()
         assert "Wanderer" not in kites  # non-member excluded
 
-    def test_single_member_interactions_when_both_not_required(self, tmp_path):
-        config = miniwiki_config(tmp_path)
-        config.require_both_members = False
-        seed_workdir(config)
-        for stage in ["ingest", "parse", "build", "quality", "metrics"]:
-            run_stage(stage, config)
-        out = Path(config.output_dir)
-        kites = (out / "networks" / "Kites.edges").read_text()
-        assert "Kite02\tWanderer\t1\n" in kites
-        with open(out / "projects.csv", newline="") as f:
-            rows = {row["project"]: row for row in csv.DictReader(f)}
-        # Wanderer joins the network but is not a member: the fraction is unchanged.
-        assert (rows["Kites"]["active_nodes"], rows["Kites"]["fraction_in_network"]) == (
-            "9",
-            "0.727273",
-        )
-        with open(out / "variables.csv", newline="") as f:
-            kept = {row["project"]: row for row in csv.DictReader(f)}
-        assert kept["Kites"]["fraction"] == "0.727273"
-
     def test_stage_isolation_downstream_corruption(self, tmp_path):
         config = miniwiki_config(tmp_path)
         seed_workdir(config)
