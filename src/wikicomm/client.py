@@ -64,6 +64,11 @@ ASSESSMENTS_QUERY = {
 # The pages of a Wikiproject scanned for member signatures.
 PROJECT_SUBPAGES = ("", "/Members", "/Participants")
 
+# json.dumps with options builds an encoder per call; a crawl encodes a key
+# and a pack header per request, so each format keeps one encoder.
+_encode_key = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+_encode_header = json.JSONEncoder(sort_keys=True).encode
+
 
 class FetchExhaustedError(Exception):
     """Network retrieval failed after exhausting retries (or offline miss).
@@ -201,9 +206,8 @@ class ResponseCache:
         if location is not None:
             return self._read(*location)
         fetched_at = datetime.now(timezone.utc)
-        header = json.dumps(
-            {"fetched_at": fetched_at.isoformat(), "key": key, "size": len(payload)},
-            sort_keys=True,
+        header = _encode_header(
+            {"fetched_at": fetched_at.isoformat(), "key": key, "size": len(payload)}
         )
         mode = "ab"
         if self._pack is None:
@@ -224,7 +228,7 @@ class ResponseCache:
 
 def canonical_request(url: str, params: dict[str, str]) -> str:
     """Stable cache key for one API request."""
-    return json.dumps({"url": url, "params": params}, sort_keys=True, ensure_ascii=False)
+    return _encode_key({"url": url, "params": params})
 
 
 def _json_object(payload: bytes) -> Optional[dict]:
@@ -400,11 +404,13 @@ class MediaWikiClient:
                 assessments = page.get("pageassessments") or {}
                 if not isinstance(assessments, dict):
                     raise DataError(f"malformed pageassessments for request {params}")
+                if assessments and not page.get("title"):
+                    raise DataError(f"malformed page without a title for request {params}")
                 for project, assessment in assessments.items():
                     grade = assessment.get("class", "") if isinstance(assessment, dict) else None
                     if not isinstance(grade, str):
                         raise DataError(f"malformed pageassessments for request {params}")
-                    yield {"project": project, "article": page.get("title", ""), "grade": grade}
+                    yield {"project": project, "article": page["title"], "grade": grade}
             cont = body.get("continue")
             if not cont:
                 return

@@ -4,6 +4,13 @@ Every stage reads its inputs from files under the output directory and
 rewrites its outputs deterministically, so a run over an unchanged cache is
 byte-identical and any stage can be rerun in isolation. A stage failure
 halts the run with the stage name; everything already fetched stays cached.
+
+The analysis layers (``graph``, ``network``, ``quality``, ``stats``,
+``report``) load on the first call of one of their functions, so the
+commands that never compute with them (``ingest``, ``parse``, ``--help``)
+start without them. Each such function is a module-level name here that
+imports its module when first called and stays the name the stages call:
+the benchmark's tracer wraps these names to time each layer.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import importlib
 import itertools
 import json
 import logging
@@ -24,23 +32,6 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 from . import __version__
 from .client import MediaWikiClient
 from .config import ConfigError, PipelineConfig, normalize_project_name
-from .graph import effective_information, read_edge_list, write_edge_list
-from .network import build_networks, summary_row
-from .quality import GRADE_RANK, Grade, q_score, read_assessments_csv, write_quality_csv
-from .report import (
-    REFERENCE_SNAPSHOT_ANCHORS,
-    f_test_to_dict,
-    fit_to_dict,
-    render_coefficient_table,
-    round_significant,
-)
-from .stats import (
-    descriptives,
-    linear_hypothesis,
-    nested_f_test,
-    ols_fit,
-    pearson_r,
-)
 from .wikitext import (
     TalkPage,
     canonical_username,
@@ -52,6 +43,39 @@ from .wikitext import (
 __all__ = ["PipelineStageError", "STAGES", "run_stage", "run_pipeline"]
 
 log = logging.getLogger(__name__)
+
+
+def _on_first_call(module: str, name: str) -> Callable:
+    """``wikicomm.<module>.<name>``, with the module imported on the first call."""
+    target: Optional[Callable] = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(f".{module}", __package__), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+effective_information = _on_first_call("graph", "effective_information")
+read_edge_list = _on_first_call("graph", "read_edge_list")
+write_edge_list = _on_first_call("graph", "write_edge_list")
+build_networks = _on_first_call("network", "build_networks")
+summary_row = _on_first_call("network", "summary_row")
+q_score = _on_first_call("quality", "q_score")
+read_assessments_csv = _on_first_call("quality", "read_assessments_csv")
+write_quality_csv = _on_first_call("quality", "write_quality_csv")
+f_test_to_dict = _on_first_call("report", "f_test_to_dict")
+fit_to_dict = _on_first_call("report", "fit_to_dict")
+render_coefficient_table = _on_first_call("report", "render_coefficient_table")
+round_significant = _on_first_call("report", "round_significant")
+descriptives = _on_first_call("stats", "descriptives")
+linear_hypothesis = _on_first_call("stats", "linear_hypothesis")
+nested_f_test = _on_first_call("stats", "nested_f_test")
+ols_fit = _on_first_call("stats", "ols_fit")
+pearson_r = _on_first_call("stats", "pearson_r")
 
 VARIABLE_LABELS = {
     "fraction": "Fraction in communication network",
@@ -135,6 +159,9 @@ def _write_csv(out: IO[str], header: Sequence[str], rows: Iterable[Sequence[str]
 
 # -- ingest -----------------------------------------------------------------
 
+# One encoder for every page record: json.dumps with options builds one per call.
+_encode_page = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
 
 def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = None) -> dict:
     """Fetch project pages, member talk pages, and assessments into the work dir."""
@@ -159,17 +186,12 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
             pages = []
             for record in client.fetch_project_pages(project):
                 pages.append((record["title"], record["wikitext"]))
-                f_projects.write(
-                    json.dumps(
-                        {"project": project, **record}, ensure_ascii=False, sort_keys=True
-                    )
-                    + "\n"
-                )
+                f_projects.write(_encode_page({"project": project, **record}) + "\n")
             members_by_project[project] = extract_project_members(pages)
 
         all_members = sorted(set().union(*members_by_project.values()))
         for record in client.fetch_user_talk_pages(all_members):
-            f_talk.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            f_talk.write(_encode_page(record) + "\n")
 
         _write_csv(
             f_assessments,
@@ -443,10 +465,13 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
     One pass over the rows keeps, per project, the best grade rank of each
     article; the per-project counts come from that dict alone.
     """
+    from .quality import GRADE_RANK, Grade
+
     out = _out(config)
     wanted = set(config.canonical_projects())
     # Rows far outnumber the distinct raw spellings of project names, so each
-    # spelling is normalized once; None marks an unusable name.
+    # spelling is normalized, and an unusable one reported, once; None marks
+    # an unusable name.
     names: dict[str, Optional[str]] = {}
     best: dict[str, dict[str, int]] = defaultdict(dict)
     with open(out / "assessments.csv", encoding="utf-8") as f:
@@ -458,9 +483,9 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
                     project = normalize_project_name(raw, config.project_aliases)
                 except ConfigError:
                     project = None
+                    log.warning("assessment with unusable project name skipped: %r", raw)
                 names[raw] = project
             if project is None:
-                log.warning("assessment with unusable project name skipped: %r", raw)
                 continue
             if wanted and project not in wanted:
                 continue
@@ -680,6 +705,8 @@ def stage_regress(config: PipelineConfig) -> dict:
 
 def stage_report(config: PipelineConfig) -> dict:
     """Assemble bundle metadata describing provenance and comparability."""
+    from .report import REFERENCE_SNAPSHOT_ANCHORS
+
     out = _out(config)
     manifest = _read_json(out / "fetch_manifest.json")
     if manifest is not None:

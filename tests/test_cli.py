@@ -1,17 +1,21 @@
+import contextlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import wikicomm
+import wikicomm.pipeline as pipeline
 from wikicomm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NETWORK, main
 from wikicomm.client import MediaWikiClient
 from wikicomm.config import PipelineConfig
 from wikicomm.pipeline import stage_ingest
 
 from fakes import RoutingSession
+from test_benchmark_hooks import RETIRED, tracer  # noqa: F401 (a fixture)
 from test_pipeline import INGEST_OUTPUTS, MiniwikiApi
 
 MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
@@ -135,6 +139,70 @@ def test_offline_run_loads_no_http_stack(tmp_path):
     )
     assert result.stdout.strip().splitlines()[-2:] == ["[]", "False True False"]
     assert (tmp_path / "out" / "report.json").exists()
+
+
+LAYERS = ("wikicomm.graph", "wikicomm.network", "wikicomm.quality", "wikicomm.stats",
+          "wikicomm.special", "wikicomm.report")
+
+
+def test_commands_load_only_the_layers_they_call(tmp_path):
+    # One fresh interpreter runs the commands in turn and prints the layer
+    # modules loaded so far after each: ingest replays a warm cache.
+    config_path = write_config(tmp_path, request_interval=0.001)
+    config = PipelineConfig.from_file(config_path)
+    session = RoutingSession(MiniwikiApi())
+    stage_ingest(config, MediaWikiClient(config, session=session, sleep=lambda s: None))
+    for name in INGEST_OUTPUTS:
+        (tmp_path / "out" / name).unlink()
+    offline = ["--config", str(config_path), "--offline"]
+    steps = [offline + ["ingest"], offline + ["parse"], ["--help"], offline + ["run"]]
+    code = (
+        "import json, sys\n"
+        "import wikicomm.cli\n"
+        f"layers = lambda: sorted(m for m in sys.modules if m in {LAYERS!r})\n"
+        "loaded = [layers()]\n"
+        f"for argv in {steps!r}:\n"
+        "    assert wikicomm.cli.main(argv) == 0, argv\n"
+        "    loaded.append(layers())\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wikicomm.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    # import, ingest, parse and --help load none; run loads all six.
+    assert loaded == [[], [], [], [], sorted(LAYERS)]
+
+
+def test_stages_call_every_hooked_name(tmp_path, monkeypatch, tracer):
+    # The benchmark's tracer times a layer by wrapping its names in
+    # wikicomm.pipeline; a name that still resolves but that no stage calls
+    # would read zero. The parse pool runs in process so that the wrapped
+    # extract_project_members is the one called.
+    hooked = [attr for path, attr, _ in tracer.LAYER_HOOKS
+              if path == "wikicomm.pipeline" and f"{path}.{attr}" not in RETIRED]
+    assert hooked
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in hooked:
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline, "_parse_pool", lambda: contextlib.nullcontext(map))
+    config = write_config(tmp_path)
+    seed(tmp_path)
+    assert main(["--config", str(config), "--offline", "run"]) == 0
+    assert sorted(calls) == sorted(hooked)
+    # The calls whose number the stages fix, whatever the input.
+    fixed = {name: n for name, n in
+             {"ols_fit": 3, "nested_f_test": 1, "linear_hypothesis": 1, "pearson_r": 1}.items()
+             if name in hooked}
+    assert {name: calls[name] for name in fixed} == fixed
 
 
 def run_without_numpy(config: Path, command: str) -> subprocess.CompletedProcess:

@@ -509,9 +509,12 @@ MALFORMED_ASSESSMENTS = [
     {"query": {"pages": [{"title": "T", "pageassessments": {"P": "FA"}}]}},
     {"query": {"pages": []}, "continue": "x"},
     {"query": {"pages": []}, "continue": {"gapcontinue": 5}},
+    {"query": {"pages": [{"pageassessments": {"P": {"class": "FA"}}}]}},
+    {"query": {"pages": [{"title": "", "pageassessments": {"P": {"class": "FA"}}}]}},
 ]
 MALFORMED_ASSESSMENTS_IDS = [
-    "class_number", "assessment_string", "continue_string", "continue_value_number"
+    "class_number", "assessment_string", "continue_string", "continue_value_number",
+    "title_missing", "title_empty",
 ]
 
 

@@ -327,9 +327,9 @@ class TestCsv:
             read_assessments_csv(io.StringIO(""))
 
 
-def test_unusable_project_name_warns_once_per_row(tmp_path, caplog):
-    # Each raw spelling is normalized once; every row with an unusable one
-    # still gets its own warning.
+def test_unusable_project_name_warns_once_per_spelling(tmp_path, caplog):
+    # Each raw spelling is normalized once, and an unusable one is reported
+    # once, however many rows carry it.
     (tmp_path / "assessments.csv").write_text(
         "project,article,grade\n"
         "Wikipedia:,A,FA\n"
@@ -343,7 +343,7 @@ def test_unusable_project_name_warns_once_per_row(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="wikicomm.pipeline"):
         counts = stage_quality(config)
     unusable = [m for m in caplog.messages if "unusable project name" in m]
-    assert unusable == ["assessment with unusable project name skipped: 'Wikipedia:'"] * 3
+    assert unusable == ["assessment with unusable project name skipped: 'Wikipedia:'"]
     assert counts == {"Storms": (2, 1)}
 
 
