@@ -1,4 +1,10 @@
-"""Weighted undirected interaction graphs and random-walk structure metrics.
+"""Random-walk structure metrics of weighted undirected interaction networks.
+
+A network is its edge rows: ``(u, v, w)`` triples, where the integer weight
+w >= 1 counts the interactions between nodes u and v. The network stage
+yields them summed, sorted and with ``u < v``; :func:`effective_information`
+also takes them in any order and direction, and sums repeated pairs.
+Members without an edge are isolated and take no part in the metrics.
 
 The communication structure of a group is summarized by three quantities
 of the random walk on its interaction graph, where a walker at node i steps
@@ -17,18 +23,17 @@ matrix: the entropy of node i's step is log2 s_i − Σ_j w_ij log2 w_ij / s_i,
 and the mean step distribution accumulates w_ij / (n·s_i) per edge. The
 same pass gives the average strength, the mean of s_i over those n nodes.
 numpy is imported on the first call of :func:`effective_information`, so
-the stages that only build or read graphs never load it.
+the stages that only build or read networks never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Collection, Iterable
 
 __all__ = [
     "SelfLoopError",
-    "WeightedGraph",
     "StructureMetrics",
     "effective_information",
     "write_edge_list",
@@ -38,63 +43,6 @@ __all__ = [
 
 class SelfLoopError(ValueError):
     """Raised when an interaction between a node and itself is recorded."""
-
-
-class WeightedGraph:
-    """Undirected graph over opaque node identifiers with integer edge weights.
-
-    Weights count interactions between node pairs and are therefore positive
-    integers; an absent pair means weight zero. Self-loops are rejected.
-    A graph is built once, by :meth:`from_edges`, and never changes after;
-    every other method is a pure read and safe to call concurrently.
-    """
-
-    __slots__ = ("_nodes", "_edges")
-
-    def __init__(self) -> None:
-        self._nodes: set[str] = set()
-        self._edges: dict[tuple[str, str], int] = {}
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[str, str, int]],
-        nodes: Iterable[str] = (),
-    ) -> "WeightedGraph":
-        """Build a graph from ``(u, v, weight)`` triples plus extra (isolated) nodes."""
-        g = cls()
-        for u, v, w in edges:
-            if u == v:
-                raise SelfLoopError(f"self-loop on node {u!r}")
-            if not isinstance(w, int) or w < 1:
-                raise ValueError(f"edge weight must be a positive integer, got {w!r}")
-            key = (u, v) if u <= v else (v, u)
-            g._edges[key] = g._edges.get(key, 0) + w
-            g._nodes.add(u)
-            g._nodes.add(v)
-        g._nodes.update(nodes)
-        return g
-
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self._nodes)
-
-    def edges(self) -> Iterator[tuple[str, str, int]]:
-        """Yield ``(u, v, weight)`` with ``u <= v``, in sorted order."""
-        for (u, v) in sorted(self._edges):
-            yield u, v, self._edges[(u, v)]
-
-    def active_nodes(self) -> frozenset[str]:
-        """Nodes incident to at least one edge."""
-        return frozenset(node for edge in self._edges for node in edge)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedGraph):
-            return NotImplemented
-        return self._nodes == other._nodes and self._edges == other._edges
-
-    def __repr__(self) -> str:
-        return f"WeightedGraph(nodes={len(self._nodes)}, edges={len(self._edges)})"
 
 
 @dataclass(frozen=True)
@@ -111,21 +59,34 @@ class StructureMetrics:
     average_strength: float
 
 
-def effective_information(g: WeightedGraph) -> StructureMetrics:
-    """The six walk metrics of ``g`` (bit values and log2(n)-normalized) and its
-    mean node strength, all over the non-isolated nodes.
+def effective_information(edges: Iterable[tuple[str, str, int]]) -> StructureMetrics:
+    """The six walk metrics of the network of ``(u, v, weight)`` edges (bit
+    values and log2(n)-normalized) and its mean node strength, all over the
+    nodes of its edges.
+
+    Repeated pairs, in either direction, add up.
 
     Raises:
-        ValueError: if fewer than 2 nodes are non-isolated.
+        SelfLoopError: if an edge joins a node to itself.
+        ValueError: if a weight is not a positive integer, or if the edges
+            join fewer than 2 nodes.
     """
     import numpy as np
 
-    # Sorted edges make the floating-point sums independent of insertion order.
-    edges = sorted(g._edges.items())
+    summed: dict[tuple[str, str], int] = {}
+    for u, v, w in edges:
+        if u == v:
+            raise SelfLoopError(f"self-loop on node {u!r}")
+        if not isinstance(w, int) or w < 1:
+            raise ValueError(f"edge weight must be a positive integer, got {w!r}")
+        key = (u, v) if u <= v else (v, u)
+        summed[key] = summed.get(key, 0) + w
+    # Sorted pairs make the floating-point sums independent of input order.
+    pairs = sorted(summed.items())
     index: dict[str, int] = {}
     ends_u: list[int] = []
     ends_v: list[int] = []
-    for (u, v), _ in edges:
+    for (u, v), _ in pairs:
         ends_u.append(index.setdefault(u, len(index)))
         ends_v.append(index.setdefault(v, len(index)))
     n_active = len(index)
@@ -136,7 +97,7 @@ def effective_information(g: WeightedGraph) -> StructureMetrics:
     # Each undirected edge is one entry in the row of either endpoint.
     rows = np.array(ends_u + ends_v, dtype=np.intp)
     cols = np.array(ends_v + ends_u, dtype=np.intp)
-    weights = np.array([w for _, w in edges] * 2, dtype=float)
+    weights = np.array([w for _, w in pairs] * 2, dtype=float)
     strength = np.bincount(rows, weights=weights, minlength=n_active)
     w_log_w = np.bincount(rows, weights=weights * np.log2(weights), minlength=n_active)
     row_entropy = np.log2(strength) - w_log_w / strength
@@ -160,21 +121,29 @@ def effective_information(g: WeightedGraph) -> StructureMetrics:
     )
 
 
-def write_edge_list(g: WeightedGraph, out: IO[str]) -> None:
-    """Serialize ``g`` as tab-separated lines: edges ``u\\tv\\tw``, isolated nodes ``v\\t0``."""
-    for name in g.nodes:
-        if "\t" in name or "\n" in name:
+def write_edge_list(
+    edges: Collection[tuple[str, str, int]], members: Iterable[str], out: IO[str]
+) -> None:
+    """Serialize a network as tab-separated lines: each edge row ``u\\tv\\tw``
+    in the given order, then each member in no edge, sorted, as ``name\\t0``."""
+    members = set(members)
+    active = {name for u, v, _ in edges for name in (u, v)}
+    for name in members | active:
+        # A reader in text mode also ends a line at "\r".
+        if "\t" in name or "\n" in name or "\r" in name:
             raise ValueError(f"node name not serializable in edge-list format: {name!r}")
-    for u, v, w in g.edges():
+    for u, v, w in edges:
         out.write(f"{u}\t{v}\t{w}\n")
-    for v in sorted(g.nodes - g.active_nodes()):
-        out.write(f"{v}\t0\n")
+    for name in sorted(members - active):
+        out.write(f"{name}\t0\n")
 
 
-def read_edge_list(source: IO[str]) -> WeightedGraph:
-    """Parse the edge-list format written by :func:`write_edge_list`."""
+def read_edge_list(source: IO[str]) -> list[tuple[str, str, int]]:
+    """The edge rows of the format written by :func:`write_edge_list`.
+
+    Each isolated-node line ``name\\t0`` is checked and skipped.
+    """
     edges: list[tuple[str, str, int]] = []
-    isolated: list[str] = []
     for lineno, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -190,8 +159,6 @@ def read_edge_list(source: IO[str]) -> WeightedGraph:
             if u == v:
                 raise SelfLoopError(f"line {lineno}: self-loop on {u!r}")
             edges.append((u, v, weight))
-        elif len(parts) == 2 and parts[1] == "0":
-            isolated.append(parts[0])
-        else:
+        elif len(parts) != 2 or parts[1] != "0":
             raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}")
-    return WeightedGraph.from_edges(edges, isolated)
+    return edges

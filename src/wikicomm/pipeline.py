@@ -87,6 +87,26 @@ VARIABLE_LABELS = {
     "const": "Constant",
 }
 
+# Full-scale reference statistics for a February 2021 English-Wikipedia
+# snapshot (1625 reconstructed networks filtered to 997). Desk-scale runs
+# cannot reproduce them; they are kept only to sanity-check full crawls.
+REFERENCE_SNAPSHOT_ANCHORS: dict[str, object] = {
+    "networks_before_filtering": 1625,
+    "networks_after_filtering": 997,
+    "fa_ga_pearson_r": 0.92,
+    "variables": {
+        "quality": {"mean": 1.172, "sd": 1.684, "median": 0.652},
+        "fraction": {"mean": 0.512, "sd": 0.173, "median": 0.503},
+        "determinism": {"mean": 0.761, "sd": 0.093, "median": 0.782},
+        "degeneracy": {"mean": 0.265, "sd": 0.139, "median": 0.238},
+        "strength": {"mean": 30.094, "sd": 39.185, "median": 17.143},
+        "members": {"mean": 136.39, "sd": 249.98, "median": 61.0},
+    },
+    "model_1": {"r_squared": 0.231, "f": 59.66, "df": [5, 991]},
+    "model_2": {"r_squared": 0.231, "f": 74.6, "df": [4, 992]},
+    "model_3": {"r_squared": 0.23, "f": 98.65, "df": [3, 993]},
+}
+
 # Below this many observations the full-scale reference anchors are not
 # comparable and the bundle is labeled accordingly.
 ANCHOR_COMPARABLE_MIN_ROWS = 500
@@ -424,8 +444,8 @@ def _read_interactions(path: Path) -> Iterator[tuple[str, str, int]]:
 def stage_build(config: PipelineConfig) -> int:
     """Sum interaction counts into per-project networks, edge lists, and the summary CSV.
 
-    Each network is written out as it is built; only its ``projects.csv``
-    row is kept.
+    Each network's sorted edge rows are written out as they are built; only
+    its ``projects.csv`` row is kept.
     """
     out = _out(config)
     interactions = out / "interactions.tsv"
@@ -447,7 +467,7 @@ def stage_build(config: PipelineConfig) -> int:
                 raise ValueError(f"project slug collision for {project!r}")
             slugs.add(slug)
             with open(networks_dir / f"{slug}.edges", "w", encoding="utf-8") as f:
-                write_edge_list(network, f)
+                write_edge_list(network, members[project], f)
             rows.append(summary_row(project, members[project], network))
         with _replaced_on_success(out / "projects.csv") as f:
             header = ["project", "member_count", "active_nodes", "fraction_in_network"]
@@ -705,8 +725,6 @@ def stage_regress(config: PipelineConfig) -> dict:
 
 def stage_report(config: PipelineConfig) -> dict:
     """Assemble bundle metadata describing provenance and comparability."""
-    from .report import REFERENCE_SNAPSHOT_ANCHORS
-
     out = _out(config)
     manifest = _read_json(out / "fetch_manifest.json")
     if manifest is not None:

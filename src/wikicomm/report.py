@@ -13,29 +13,7 @@ __all__ = [
     "render_coefficient_table",
     "fit_to_dict",
     "f_test_to_dict",
-    "REFERENCE_SNAPSHOT_ANCHORS",
 ]
-
-# Full-scale reference statistics for a February 2021 English-Wikipedia
-# snapshot (1625 reconstructed networks filtered to 997). Desk-scale runs
-# cannot reproduce them; they are kept only to sanity-check full crawls.
-REFERENCE_SNAPSHOT_ANCHORS: dict[str, object] = {
-    "networks_before_filtering": 1625,
-    "networks_after_filtering": 997,
-    "fa_ga_pearson_r": 0.92,
-    "variables": {
-        "quality": {"mean": 1.172, "sd": 1.684, "median": 0.652},
-        "fraction": {"mean": 0.512, "sd": 0.173, "median": 0.503},
-        "determinism": {"mean": 0.761, "sd": 0.093, "median": 0.782},
-        "degeneracy": {"mean": 0.265, "sd": 0.139, "median": 0.238},
-        "strength": {"mean": 30.094, "sd": 39.185, "median": 17.143},
-        "members": {"mean": 136.39, "sd": 249.98, "median": 61.0},
-    },
-    "model_1": {"r_squared": 0.231, "f": 59.66, "df": [5, 991]},
-    "model_2": {"r_squared": 0.231, "f": 74.6, "df": [4, 992]},
-    "model_3": {"r_squared": 0.23, "f": 98.65, "df": [3, 993]},
-}
-
 
 # Significant digits of every float written to report.json and
 # quality_summary.json. The statistics come from BLAS-backed products whose

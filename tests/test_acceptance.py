@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from wikicomm.config import PipelineConfig
-from wikicomm.graph import WeightedGraph, effective_information
-from wikicomm.pipeline import STAGE_ORDER, run_stage
+from wikicomm.graph import effective_information
+from wikicomm.pipeline import REFERENCE_SNAPSHOT_ANCHORS, STAGE_ORDER, run_stage
 from wikicomm.quality import q_score
-from wikicomm.report import REFERENCE_SNAPSHOT_ANCHORS
 from wikicomm.stats import linear_hypothesis, nested_f_test, ols_fit
 from wikicomm.wikitext import TalkPage
 
@@ -44,21 +43,23 @@ def criterion(name: str):
     print(f"\nACCEPTANCE PASS: {name}")
 
 
-def random_graph(rng: random.Random) -> WeightedGraph:
+Edges = list[tuple[str, str, int]]
+
+
+def random_graph(rng: random.Random) -> Edges:
     n = rng.randint(2, 12)
     names = [f"v{i}" for i in range(n)]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
     count = rng.randint(1, len(pairs))
-    edges = [(u, v, rng.randint(1, 10)) for u, v in rng.sample(pairs, count)]
-    return WeightedGraph.from_edges(edges)
+    return [(u, v, rng.randint(1, 10)) for u, v in rng.sample(pairs, count)]
 
 
-def ring(n: int) -> WeightedGraph:
-    return WeightedGraph.from_edges([(f"n{i}", f"n{(i + 1) % n}", 1) for i in range(n)])
+def ring(n: int) -> Edges:
+    return [(f"n{i}", f"n{(i + 1) % n}", 1) for i in range(n)]
 
 
-def star(n: int) -> WeightedGraph:
-    return WeightedGraph.from_edges([("hub", f"leaf{i}", 1) for i in range(n - 1)])
+def star(n: int) -> Edges:
+    return [("hub", f"leaf{i}", 1) for i in range(n - 1)]
 
 
 def test_metric_oracle_equivalence_on_200_random_graphs():
@@ -69,10 +70,11 @@ def test_metric_oracle_equivalence_on_200_random_graphs():
         rng = random.Random(20210211)
         started = time.monotonic()
         for _ in range(200):
-            g = random_graph(rng)
-            edges = {(u, v): w for u, v, w in g.edges()}
-            det_expected, deg_expected, n_expected = direct_structure_metrics(edges)
-            metrics = effective_information(g)
+            edges = random_graph(rng)
+            det_expected, deg_expected, n_expected = direct_structure_metrics(
+                {(u, v): w for u, v, w in edges}
+            )
+            metrics = effective_information(edges)
             assert abs(metrics.determinism_bits - det_expected) < 1e-9
             assert abs(metrics.degeneracy_bits - deg_expected) < 1e-9
             assert metrics.active_n == n_expected
@@ -84,12 +86,10 @@ def test_analytic_graph_cases():
         "analytic cases: Det(K4) = 2 - log2(3), Deg(K4) = 0, EI(two-node) = 1 bit, "
         "Deg(ring) = 0, all within 1e-12"
     ):
-        k4 = WeightedGraph.from_edges(
-            [(u, v, 1) for i, u in enumerate("abcd") for v in "abcd"[i + 1 :]]
-        )
+        k4 = [(u, v, 1) for i, u in enumerate("abcd") for v in "abcd"[i + 1 :]]
         assert abs(effective_information(k4).determinism_bits - (2 - math.log2(3))) <= 1e-12
         assert abs(effective_information(k4).degeneracy_bits) <= 1e-12
-        two = WeightedGraph.from_edges([("x", "y", 1)])
+        two = [("x", "y", 1)]
         assert abs(effective_information(two).effective_information_bits - 1.0) <= 1e-12
         for n in (3, 4, 5, 8, 16, 33, 64):
             assert abs(effective_information(ring(n)).degeneracy_bits) <= 1e-12

@@ -155,7 +155,9 @@ def test_commands_load_only_the_layers_they_call(tmp_path):
     for name in INGEST_OUTPUTS:
         (tmp_path / "out" / name).unlink()
     offline = ["--config", str(config_path), "--offline"]
-    steps = [offline + ["ingest"], offline + ["parse"], ["--help"], offline + ["run"]]
+    steps = [
+        offline + ["ingest"], offline + ["parse"], ["--help"], offline + ["report"], offline + ["run"]
+    ]
     code = (
         "import json, sys\n"
         "import wikicomm.cli\n"
@@ -171,8 +173,8 @@ def test_commands_load_only_the_layers_they_call(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded = json.loads(result.stdout.strip().splitlines()[-1])
-    # import, ingest, parse and --help load none; run loads all six.
-    assert loaded == [[], [], [], [], sorted(LAYERS)]
+    # import, ingest, parse, --help and report load none; run loads all six.
+    assert loaded == [[], [], [], [], [], sorted(LAYERS)]
 
 
 def test_stages_call_every_hooked_name(tmp_path, monkeypatch, tracer):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wikicomm.graph import (
     SelfLoopError,
-    WeightedGraph,
     effective_information,
     read_edge_list,
     write_edge_list,
@@ -18,53 +17,59 @@ from oracles import direct_structure_metrics
 
 LOG2_3 = math.log2(3)
 
-
-def star(n: int) -> WeightedGraph:
-    return WeightedGraph.from_edges([("hub", f"leaf{i}", 1) for i in range(n - 1)])
+Edges = list[tuple[str, str, int]]
 
 
-def ring(n: int) -> WeightedGraph:
-    return WeightedGraph.from_edges(
-        [(f"n{i}", f"n{(i + 1) % n}", 1) for i in range(n)]
-    )
+def star(n: int) -> Edges:
+    return [("hub", f"leaf{i}", 1) for i in range(n - 1)]
 
 
-def complete(n: int) -> WeightedGraph:
+def ring(n: int) -> Edges:
+    return [(f"n{i}", f"n{(i + 1) % n}", 1) for i in range(n)]
+
+
+def complete(n: int) -> Edges:
     names = [f"n{i}" for i in range(n)]
-    return WeightedGraph.from_edges(
-        [(u, v, 1) for i, u in enumerate(names) for v in names[i + 1 :]]
-    )
+    return [(u, v, 1) for i, u in enumerate(names) for v in names[i + 1 :]]
 
 
-def weights(g: WeightedGraph) -> dict[tuple[str, str], int]:
-    return {(u, v): w for u, v, w in g.edges()}
+def nodes(edges: Edges) -> set[str]:
+    return {name for u, v, _ in edges for name in (u, v)}
+
+
+def round_trip(edges: Edges, members) -> Edges:
+    """``edges`` written as an edge list with ``members`` and read back."""
+    buffer = io.StringIO()
+    write_edge_list(edges, members, buffer)
+    return read_edge_list(io.StringIO(buffer.getvalue()))
 
 
 class TestAddInteraction:
+    """The edge rows ``effective_information`` accepts."""
+
     def test_base_case(self):
-        g = WeightedGraph.from_edges([("a", "b", 1)])
-        assert weights(g) == {("a", "b"): 1}
-        assert g.nodes == {"a", "b"}
+        m = effective_information([("a", "b", 1)])
+        assert m.active_n == 2
+        assert m.average_strength == 1.0
 
     def test_unordered_key_symmetry(self):
-        g = WeightedGraph.from_edges([("a", "b", 3), ("b", "a", 1)])
-        assert weights(g) == {("a", "b"): 4}
+        summed = effective_information([("a", "b", 3), ("b", "a", 1)])
+        assert summed == effective_information([("a", "b", 4)])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError):
-            WeightedGraph.from_edges([("a", "a", 1)])
+        with pytest.raises(SelfLoopError, match="^self-loop on node 'a'$"):
+            effective_information([("a", "b", 1), ("a", "a", 1)])
 
     def test_weights_are_positive_integers(self):
-        with pytest.raises(ValueError):
-            WeightedGraph.from_edges([("a", "b", 0)])
-        with pytest.raises(ValueError):
-            WeightedGraph.from_edges([("a", "b", 1.5)])
+        for weight in [0, -1, 1.5]:
+            message = f"^edge weight must be a positive integer, got {weight!r}$"
+            with pytest.raises(ValueError, match=message):
+                effective_information([("a", "b", 1), ("b", "c", weight)])
 
 
 class TestAverageStrength:
     def test_single_edge(self):
-        g = WeightedGraph.from_edges([("a", "b", 17)])
-        assert effective_information(g).average_strength == 17.0
+        assert effective_information([("a", "b", 17)]).average_strength == 17.0
 
     def test_star(self):
         assert effective_information(star(4)).average_strength == pytest.approx(1.5)
@@ -73,20 +78,17 @@ class TestAverageStrength:
         assert effective_information(complete(4)).average_strength == pytest.approx(3.0)
 
     def test_isolated_nodes_excluded(self):
-        g = WeightedGraph.from_edges(star(4).edges(), nodes=["watcher"])
-        assert effective_information(g).average_strength == pytest.approx(1.5)
+        edges = round_trip(star(4), [*nodes(star(4)), "watcher"])
+        assert effective_information(edges).average_strength == pytest.approx(1.5)
 
     def test_empty_graph_errors(self):
         with pytest.raises(ValueError):
-            effective_information(WeightedGraph()).average_strength
-        with pytest.raises(ValueError):
-            effective_information(WeightedGraph.from_edges([], nodes=["a"])).average_strength
+            effective_information([]).average_strength
 
 
 class TestDeterminism:
     def test_two_node(self):
-        g = WeightedGraph.from_edges([("a", "b", 1)])
-        assert effective_information(g).determinism_bits == pytest.approx(1.0, abs=1e-15)
+        assert effective_information([("a", "b", 1)]).determinism_bits == pytest.approx(1.0, abs=1e-15)
 
     def test_complete_k4(self):
         assert effective_information(complete(4)).determinism_bits == pytest.approx(
@@ -100,8 +102,10 @@ class TestDeterminism:
         )
 
     def test_too_few_active_nodes(self):
-        with pytest.raises(ValueError):
-            effective_information(WeightedGraph.from_edges([], nodes=["a", "b"])).determinism_bits
+        # Two members, both isolated: the edge list holds no edge.
+        edges = read_edge_list(io.StringIO("a\t0\nb\t0\n"))
+        with pytest.raises(ValueError, match="at least 2 non-isolated nodes, got 0"):
+            effective_information(edges).determinism_bits
 
 
 class TestDegeneracy:
@@ -119,12 +123,12 @@ class TestDegeneracy:
 
     def test_too_few_active_nodes(self):
         with pytest.raises(ValueError):
-            effective_information(WeightedGraph()).degeneracy_bits
+            effective_information([]).degeneracy_bits
 
 
 class TestEffectiveInformation:
     def test_two_node(self):
-        m = effective_information(WeightedGraph.from_edges([("a", "b", 1)]))
+        m = effective_information([("a", "b", 1)])
         assert m.effective_information_bits == pytest.approx(1.0, abs=1e-15)
         assert m.effective_information_norm == pytest.approx(1.0, abs=1e-15)
         assert m.active_n == 2
@@ -138,30 +142,27 @@ class TestEffectiveInformation:
         assert m.effective_information_bits == pytest.approx(0.811278124459133, abs=1e-12)
 
     def test_identity_holds_exactly(self):
-        g = WeightedGraph.from_edges([("a", "b", 2), ("b", "c", 7), ("a", "d", 1)])
-        m = effective_information(g)
+        m = effective_information([("a", "b", 2), ("b", "c", 7), ("a", "d", 1)])
         assert m.effective_information_bits == m.determinism_bits - m.degeneracy_bits
         assert m.determinism_norm == pytest.approx(m.determinism_bits / math.log2(m.active_n))
 
     def test_bounds(self):
-        for g in (star(6), ring(7), complete(5)):
-            m = effective_information(g)
+        for edges in (star(6), ring(7), complete(5)):
+            m = effective_information(edges)
             log_n = math.log2(m.active_n)
             assert -1e-12 <= m.determinism_bits <= log_n + 1e-12
             assert -1e-12 <= m.degeneracy_bits <= log_n + 1e-12
 
 
 class TestScale:
-    """Closed forms on 3000 active nodes plus 100 isolated members, in bounded memory."""
+    """Closed forms on 3000 active nodes, in bounded memory."""
 
     N = 3000
-    ISOLATED = [f"idle{i}" for i in range(100)]
 
-    def metrics_and_peak_bytes(self, g: WeightedGraph):
-        g = WeightedGraph.from_edges(g.edges(), nodes=self.ISOLATED)
+    def metrics_and_peak_bytes(self, edges: Edges):
         tracemalloc.start()
         try:
-            m = effective_information(g)
+            m = effective_information(edges)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -192,18 +193,16 @@ def random_graphs(draw, max_nodes=12, max_weight=10):
     chosen = draw(
         st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True)
     )
-    edges = [
-        (u, v, draw(st.integers(min_value=1, max_value=max_weight))) for u, v in chosen
-    ]
-    return WeightedGraph.from_edges(edges)
+    return [(u, v, draw(st.integers(min_value=1, max_value=max_weight))) for u, v in chosen]
 
 
 @given(random_graphs())
 @settings(max_examples=150, deadline=None)
-def test_matches_direct_definition_oracle(g):
-    edges = weights(g)
-    det_expected, deg_expected, n_expected = direct_structure_metrics(edges)
-    m = effective_information(g)
+def test_matches_direct_definition_oracle(edges):
+    det_expected, deg_expected, n_expected = direct_structure_metrics(
+        {(u, v): w for u, v, w in edges}
+    )
+    m = effective_information(edges)
     assert m.active_n == n_expected
     assert abs(m.determinism_bits - det_expected) < 1e-9
     assert abs(m.degeneracy_bits - deg_expected) < 1e-9
@@ -215,16 +214,13 @@ def test_matches_direct_definition_oracle(g):
 
 @given(random_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
-def test_node_relabeling_invariance(g, rng):
-    names = sorted(g.nodes)
+def test_node_relabeling_invariance(edges, rng):
+    names = sorted(nodes(edges))
     shuffled = list(names)
     rng.shuffle(shuffled)
     mapping = dict(zip(names, shuffled))
-    relabeled = WeightedGraph.from_edges(
-        [(mapping[u], mapping[v], w) for u, v, w in g.edges()],
-        nodes=[mapping[v] for v in g.nodes],
-    )
-    a = effective_information(g)
+    relabeled = [(mapping[u], mapping[v], w) for u, v, w in edges]
+    a = effective_information(edges)
     b = effective_information(relabeled)
     assert abs(a.determinism_bits - b.determinism_bits) < 1e-12
     assert abs(a.degeneracy_bits - b.degeneracy_bits) < 1e-12
@@ -233,9 +229,9 @@ def test_node_relabeling_invariance(g, rng):
 
 @given(random_graphs(max_weight=5), st.integers(min_value=2, max_value=9))
 @settings(max_examples=80, deadline=None)
-def test_uniform_weight_scaling_invariance(g, k):
-    scaled = WeightedGraph.from_edges([(u, v, w * k) for u, v, w in g.edges()])
-    a = effective_information(g)
+def test_uniform_weight_scaling_invariance(edges, k):
+    scaled = [(u, v, w * k) for u, v, w in edges]
+    a = effective_information(edges)
     b = effective_information(scaled)
     assert abs(a.determinism_bits - b.determinism_bits) < 1e-12
     assert abs(a.degeneracy_bits - b.degeneracy_bits) < 1e-12
@@ -244,16 +240,23 @@ def test_uniform_weight_scaling_invariance(g, k):
 
 @given(random_graphs())
 @settings(max_examples=60, deadline=None)
-def test_isolated_node_changes_nothing(g):
-    before = effective_information(g)
-    watched = WeightedGraph.from_edges(list(g.edges()), nodes=["lurker_xyz"])
-    after = effective_information(watched)
-    assert after.active_n == before.active_n
-    assert abs(after.determinism_bits - before.determinism_bits) < 1e-12
-    assert abs(after.degeneracy_bits - before.degeneracy_bits) < 1e-12
-    assert abs(
-        after.effective_information_bits - before.effective_information_bits
-    ) < 1e-12
+def test_isolated_node_changes_nothing(edges):
+    # An isolated member is a "name\t0" line of the edge list, skipped on reading.
+    watched = round_trip(edges, [*nodes(edges), "lurker_xyz"])
+    assert effective_information(watched) == effective_information(edges)
+
+
+@given(random_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_row_order_direction_and_splitting_change_nothing(edges, rng):
+    # Shuffled rows, some pairs reversed, and weights split across repeated
+    # rows: the summed, sorted pairs are the same, so every float is too.
+    rows = []
+    for u, v, w in edges:
+        parts = [w] if w == 1 else [k := rng.randint(1, w - 1), w - k]
+        rows += [(v, u, part) if rng.random() < 0.5 else (u, v, part) for part in parts]
+    rng.shuffle(rows)
+    assert effective_information(rows) == effective_information(edges)
 
 
 @given(st.integers(min_value=3, max_value=40))
@@ -277,30 +280,30 @@ def test_ring_beats_star_on_effective_information(n):
 
 class TestEdgeListFormat:
     def test_round_trip_with_isolated_nodes(self):
-        g = WeightedGraph.from_edges(
-            [("Alice B", "Carol", 3), ("Carol", "Dan", 1)], nodes=["Eve", "Frank"]
-        )
-        buffer = io.StringIO()
-        write_edge_list(g, buffer)
-        restored = read_edge_list(io.StringIO(buffer.getvalue()))
-        assert restored == g
+        edges = [("Alice B", "Carol", 3), ("Carol", "Dan", 1)]
+        assert round_trip(edges, ["Alice B", "Carol", "Dan", "Eve", "Frank"]) == edges
 
     def test_format_shape(self):
-        g = WeightedGraph.from_edges([("a", "b", 2)], nodes=["c"])
         buffer = io.StringIO()
-        write_edge_list(g, buffer)
+        write_edge_list([("a", "b", 2)], ["c", "b", "a"], buffer)
         assert buffer.getvalue() == "a\tb\t2\nc\t0\n"
 
     def test_rejects_unserializable_names(self):
-        g = WeightedGraph.from_edges([("a\tb", "c", 1)])
-        with pytest.raises(ValueError):
-            write_edge_list(g, io.StringIO())
+        for name in ["a\tb", "a\nb", "a\rb"]:
+            with pytest.raises(ValueError, match="not serializable"):
+                write_edge_list([(name, "c", 1)], ["c"], io.StringIO())
+            with pytest.raises(ValueError, match="not serializable"):
+                write_edge_list([], [name], io.StringIO())
 
     def test_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
             read_edge_list(io.StringIO("a\tb\n"))
         with pytest.raises(ValueError):
             read_edge_list(io.StringIO("a\tb\t0\n"))
+        # An isolated-node line is checked although it is skipped.
+        with pytest.raises(ValueError) as excinfo:
+            read_edge_list(io.StringIO("a\tb\t1\nc\t00\n"))
+        assert str(excinfo.value) == "line 2: malformed edge-list line: 'c\\t00'"
 
     def test_self_loop_line_is_named(self):
         with pytest.raises(SelfLoopError, match="^line 2: self-loop on 'c'$"):
@@ -319,13 +322,10 @@ class TestEdgeListFormat:
             assert str(excinfo.value) == f"line 2: malformed edge-list line: {line!r}"
 
     def test_blank_line_is_skipped(self):
-        g = read_edge_list(io.StringIO("a\tb\t2\n\nb\ta\t1\nc\t0\n"))
-        assert g == WeightedGraph.from_edges([("a", "b", 3)], nodes=["c"])
+        edges = read_edge_list(io.StringIO("a\tb\t2\n\nb\ta\t1\nc\t0\n"))
+        assert edges == [("a", "b", 2), ("b", "a", 1)]
 
     @given(random_graphs(), st.lists(st.integers(0, 50), max_size=4))
     @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, g, extra):
-        g = WeightedGraph.from_edges(g.edges(), nodes=[f"iso{i}" for i in extra])
-        buffer = io.StringIO()
-        write_edge_list(g, buffer)
-        assert read_edge_list(io.StringIO(buffer.getvalue())) == g
+    def test_round_trip_property(self, edges, extra):
+        assert round_trip(edges, [*nodes(edges), *(f"iso{i}" for i in extra)]) == edges

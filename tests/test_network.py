@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikicomm.graph import WeightedGraph
 from wikicomm.network import build_networks, summary_row
 
 from oracles import direct_networks
@@ -10,38 +9,36 @@ from oracles import direct_networks
 MEMBERS = {"A", "B", "C"}
 
 
-def project_network(interactions, members) -> WeightedGraph:
-    """One project's network through the multi-project builder."""
+def project_network(interactions, members) -> list[tuple[str, str, int]]:
+    """One project's rows through the multi-project builder."""
     return dict(build_networks(interactions, {"P": members}))["P"]
 
 
-def weights(g: WeightedGraph) -> dict[tuple[str, str], int]:
-    return {(u, v): w for u, v, w in g.edges()}
+def weights(rows) -> dict[tuple[str, str], int]:
+    return {(u, v): w for u, v, w in rows}
 
 
 class TestBuildNetwork:
     def test_counts_every_message(self):
         posts = [("A", "B", 1), ("A", "B", 1), ("B", "A", 1)]
-        g = project_network(posts, MEMBERS)
-        assert weights(g)[("A", "B")] == 3
+        rows = project_network(posts, MEMBERS)
+        assert weights(rows)[("A", "B")] == 3
 
     def test_self_posts_never_count(self):
-        g = project_network([("A", "A", 1)], MEMBERS)
-        assert weights(g) == {}
+        rows = project_network([("A", "A", 1)], MEMBERS)
+        assert weights(rows) == {}
 
     def test_non_member_page_owner_excluded(self):
-        g = project_network([("A", "Z", 1)], MEMBERS)
-        assert weights(g) == {}
-        assert "Z" not in g.nodes
+        assert project_network([("A", "Z", 1)], MEMBERS) == []
 
     def test_non_member_author_excluded(self):
-        g = project_network([("Z", "A", 1)], MEMBERS)
-        assert weights(g) == {}
+        rows = project_network([("Z", "A", 1)], MEMBERS)
+        assert weights(rows) == {}
 
     def test_total_weight_equals_counted_posts(self):
         posts = [("A", "B", 1), ("B", "C", 1), ("C", "A", 1), ("A", "Z", 1), ("A", "A", 1)]
-        g = project_network(posts, MEMBERS)
-        assert sum(weights(g).values()) == 3
+        rows = project_network(posts, MEMBERS)
+        assert sum(weights(rows).values()) == 3
 
 
 @given(
@@ -74,7 +71,7 @@ def test_adding_posts_is_monotone(posts, extra):
     before = project_network(posts, members)
     after = project_network(posts + extra, members)
     after_weights = weights(after)
-    for u, v, w in before.edges():
+    for u, v, w in before:
         assert after_weights.get((u, v), 0) >= w
 
 
@@ -109,10 +106,11 @@ def test_one_pass_builder_matches_per_project_rescan(case):
     posts = [(author, owner) for author, owner, count in interactions for _ in range(count)]
     expected = direct_networks(posts, projects)
     assert list(networks) == sorted(expected)
-    for project, (nodes, edges) in expected.items():
-        g = networks[project]
-        assert g.nodes == nodes
-        assert weights(g) == edges
+    for project, (_, edges) in expected.items():
+        rows = networks[project]
+        assert rows == sorted(rows)
+        assert all(u < v for u, v, _ in rows)
+        assert weights(rows) == edges
 
 
 def test_repeated_pairs_in_both_directions_add_up():
@@ -122,26 +120,26 @@ def test_repeated_pairs_in_both_directions_add_up():
     ]
     networks = dict(build_networks(interactions, {"Q": {"B", "C", "Z"}, "P": MEMBERS}))
     assert list(networks) == ["P", "Q"]
-    assert list(networks["P"].edges()) == [("A", "B", 6), ("B", "C", 7)]
-    assert list(networks["Q"].edges()) == [("B", "C", 7), ("C", "Z", 4)]
+    assert networks["P"] == [("A", "B", 6), ("B", "C", 7)]
+    assert networks["Q"] == [("B", "C", 7), ("C", "Z", 4)]
 
 
 class TestProjectRecord:
     """The project's ``projects.csv`` row."""
 
     def test_fraction(self):
-        g = project_network([("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "E", 1)],
-                          set("ABCDEFGHIJ"))
-        assert summary_row("P", set("ABCDEFGHIJ"), g) == ("P", 10, 5, "0.500000")
+        rows = project_network([("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "E", 1)],
+                               set("ABCDEFGHIJ"))
+        assert summary_row("P", set("ABCDEFGHIJ"), rows) == ("P", 10, 5, "0.500000")
 
     def test_all_isolated(self):
-        assert summary_row("P", {"A", "B"}, WeightedGraph()) == ("P", 2, 0, "0.000000")
+        assert summary_row("P", {"A", "B"}, []) == ("P", 2, 0, "0.000000")
 
     def test_empty_member_set_errors(self):
         with pytest.raises(ValueError):
-            summary_row("P", set(), WeightedGraph())
+            summary_row("P", set(), [])
 
 
 def test_summary_csv_format():
-    g = project_network([("A", "B", 1)], {"A", "B"})
-    assert summary_row("Storms", {"A", "B", "C", "D"}, g) == ("Storms", 4, 2, "0.500000")
+    rows = project_network([("A", "B", 1)], {"A", "B"})
+    assert summary_row("Storms", {"A", "B", "C", "D"}, rows) == ("Storms", 4, 2, "0.500000")

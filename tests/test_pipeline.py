@@ -191,12 +191,12 @@ class TestGoldenRun:
         write_edge_list = pipeline.write_edge_list
         calls = []
 
-        def fail_on_third_project(g, f):
-            calls.append(g)
+        def fail_on_third_project(edges, members, f):
+            calls.append(edges)
             if len(calls) == 3:
                 f.write("half a li")
                 raise OSError("disk full")
-            write_edge_list(g, f)
+            write_edge_list(edges, members, f)
 
         monkeypatch.setattr(pipeline, "write_edge_list", fail_on_third_project)
         with pytest.raises(PipelineStageError, match="disk full"):
