@@ -22,8 +22,10 @@ log2(n). They are computed in O(E) from the edge list, never from an n×n
 matrix: the entropy of node i's step is log2 s_i − Σ_j w_ij log2 w_ij / s_i,
 and the mean step distribution accumulates w_ij / (n·s_i) per edge. The
 same pass gives the average strength, the mean of s_i over those n nodes.
-numpy is imported on the first call of :func:`effective_information`, so
-the stages that only build or read networks never load it.
+It is plain Python: each node's sums run in the order of the sorted pairs,
+and the means over nodes are ``math.fsum`` sums, so the result does not
+depend on the order of the rows, and only libm's ``log2`` can differ
+between hosts.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ def effective_information(edges: Iterable[tuple[str, str, int]]) -> StructureMet
         ValueError: if a weight is not a positive integer, or if the edges
             join fewer than 2 nodes.
     """
-    import numpy as np
-
     summed: dict[tuple[str, str], int] = {}
     for u, v, w in edges:
         if u == v:
@@ -83,31 +83,32 @@ def effective_information(edges: Iterable[tuple[str, str, int]]) -> StructureMet
         summed[key] = summed.get(key, 0) + w
     # Sorted pairs make the floating-point sums independent of input order.
     pairs = sorted(summed.items())
-    index: dict[str, int] = {}
-    ends_u: list[int] = []
-    ends_v: list[int] = []
-    for (u, v), _ in pairs:
-        ends_u.append(index.setdefault(u, len(index)))
-        ends_v.append(index.setdefault(v, len(index)))
-    n_active = len(index)
+    strength: dict[str, int] = {}
+    for (u, v), w in pairs:
+        strength[u] = strength.get(u, 0) + w
+        strength[v] = strength.get(v, 0) + w
+    n_active = len(strength)
     if n_active < 2:
         raise ValueError(
             f"effective_information requires at least 2 non-isolated nodes, got {n_active}"
         )
-    # Each undirected edge is one entry in the row of either endpoint.
-    rows = np.array(ends_u + ends_v, dtype=np.intp)
-    cols = np.array(ends_v + ends_u, dtype=np.intp)
-    weights = np.array([w for _, w in pairs] * 2, dtype=float)
-    strength = np.bincount(rows, weights=weights, minlength=n_active)
-    w_log_w = np.bincount(rows, weights=weights * np.log2(weights), minlength=n_active)
-    row_entropy = np.log2(strength) - w_log_w / strength
-    # Every active node is some row's target, so no mean-row entry is zero.
-    mean_row = np.bincount(
-        cols, weights=weights / (n_active * strength[rows]), minlength=n_active
-    )
+    # Per node: Σ_j w_ij log2 w_ij, and its entry of the mean step
+    # distribution, Σ_i w_ij / (n·s_i). Every active node is some row's
+    # target, so no mean-row entry is zero.
+    w_log_w = dict.fromkeys(strength, 0.0)
+    mean_row = dict.fromkeys(strength, 0.0)
+    for (u, v), w in pairs:
+        term = w * math.log2(w)
+        w_log_w[u] += term
+        w_log_w[v] += term
+        mean_row[v] += w / (n_active * strength[u])
+        mean_row[u] += w / (n_active * strength[v])
     log_n = math.log2(n_active)
-    det = log_n - float(row_entropy.mean())
-    deg = log_n + float((mean_row * np.log2(mean_row)).sum())
+    row_entropy = (math.log2(s) - w_log_w[node] / s for node, s in strength.items())
+    det = log_n - math.fsum(row_entropy) / n_active
+    # log2 n minus an entropy over n nodes is never negative; on a regular
+    # network rounding can leave -4e-16, which would print as -0.000000.
+    deg = max(0.0, log_n + math.fsum(p * math.log2(p) for p in mean_row.values()))
     ei = det - deg
     return StructureMetrics(
         determinism_bits=det,
@@ -117,7 +118,7 @@ def effective_information(edges: Iterable[tuple[str, str, int]]) -> StructureMet
         degeneracy_norm=deg / log_n,
         effective_information_norm=ei / log_n,
         active_n=n_active,
-        average_strength=float(strength.mean()),
+        average_strength=sum(strength.values()) / n_active,
     )
 
 

@@ -16,11 +16,11 @@ __all__ = [
 ]
 
 # Significant digits of every float written to report.json and
-# quality_summary.json. The statistics come from BLAS-backed products whose
-# last digits differ between numpy/OpenBLAS builds: on the mini-wiki they lie
-# up to 2.3e-13 (relative) from a 60-digit reference. At 10 digits every
-# mini-wiki value is at least 2.35e-12 from a rounding boundary, so each host
-# writes the same bytes; at 12 digits one value is only 1.2e-14 from one. Nine
+# quality_summary.json. The statistics are plain IEEE arithmetic and
+# correctly rounded fsum sums, so only libm's log, log2 and lgamma (and exp
+# and log1p in the p-values) can move their last digits between hosts. At 10
+# digits every mini-wiki value is at least 2.35e-12 (relative) from a
+# rounding boundary; at 12 digits one value is only 1.2e-14 from one. Nine
 # digits would move R² by up to 4.6e-10, past the 1e-10 acceptance bound.
 REPORT_SIGNIFICANT_DIGITS = 10
 

@@ -7,20 +7,20 @@ cond(X)² above 1e12 aborts the fit and names the columns that carry the
 near-dependency; a column's units do not change the verdict. Standard errors
 are the conventional non-robust σ̂²(XᵀX)⁻¹ diagonal.
 
-numpy is imported by each function that computes with it, on its first
-call, so a process that never summarizes, correlates or fits never loads it.
+Everything is plain Python, and every sum over rows is a ``math.fsum``,
+which is correctly rounded: no result depends on the order of the rows or
+on a BLAS library.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .special import f_sf, t_sf
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Descriptives",
@@ -37,6 +37,14 @@ __all__ = [
 INTERCEPT = "const"
 
 _COND_LIMIT = 1e12
+# Two columns count as orthogonal when the cosine of their angle is below
+# this; a Jacobi SVD that needs more sweeps than the limit has not converged.
+_ORTHOGONAL = 1e-15
+_JACOBI_SWEEPS = 60
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return math.fsum(map(operator.mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -55,24 +63,16 @@ def descriptives(values: Sequence[float]) -> Descriptives:
     Raises:
         ValueError: on an empty column.
     """
-    import numpy as np
-
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
+    data = [float(v) for v in values]
+    if not data:
         raise ValueError("cannot summarize an empty column")
-    mean = float(data.mean())
-    sd = float(data.std(ddof=1)) if data.size > 1 else None
-    # np.median gives the same values, but its first call imports numpy.ma.
-    # np.sort puts NaN last, and a NaN makes the median NaN, as np.median does.
-    ordered = np.sort(data)
-    mid = data.size // 2
-    if math.isnan(ordered[-1]):
-        median = math.nan
-    elif data.size % 2:
-        median = float(ordered[mid])
-    else:
-        median = float((ordered[mid - 1] + ordered[mid]) / 2)
-    return Descriptives(mean=mean, sd=sd, median=median, n=data.size)
+    n = len(data)
+    mean = statistics.fmean(data)
+    deviations = [v - mean for v in data]
+    sd = math.sqrt(_dot(deviations, deviations) / (n - 1)) if n > 1 else None
+    # A NaN makes the mean NaN, and the median too (sorting cannot place it).
+    median = mean if math.isnan(mean) else statistics.median(data)
+    return Descriptives(mean=mean, sd=sd, median=median, n=n)
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -84,22 +84,20 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     Raises:
         ValueError: on unequal lengths, fewer than 3 points, or zero variance.
     """
-    import numpy as np
-
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
-    n = xa.size
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    n = len(xs)
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
+    x_mean, y_mean = statistics.fmean(xs), statistics.fmean(ys)
+    dx = [v - x_mean for v in xs]
+    dy = [v - y_mean for v in ys]
+    sxx, syy = _dot(dx, dx), _dot(dy, dy)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("zero variance in input")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
+    r = _dot(dx, dy) / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if 1.0 - r * r <= 0.0:
         return r, 0.0
@@ -124,9 +122,9 @@ class OlsFit:
 
     ``coefficients`` and ``standard_errors`` are keyed by predictor name plus
     the intercept key ``const``. ``covariance`` is the parameter covariance
-    σ̂²(XᵀX)⁻¹ ordered intercept-first then predictors. When the fit is
-    saturated (zero residual degrees of freedom) the inference fields are
-    NaN.
+    σ̂²(XᵀX)⁻¹, a tuple of rows in ``(const, *predictors)`` order. When the
+    fit is saturated (zero residual degrees of freedom) the inference fields
+    are NaN.
     """
 
     response: str
@@ -142,36 +140,56 @@ class OlsFit:
     tss: float
     sigma2: float
     n: int
-    covariance: np.ndarray
+    covariance: tuple[tuple[float, ...], ...]
 
     @property
     def residual_df(self) -> int:
         return self.n - len(self.predictors) - 1
 
-    def param_vector(self) -> np.ndarray:
-        """Coefficients ordered intercept-first, matching ``covariance``."""
-        import numpy as np
-
-        return np.array(
-            [self.coefficients[INTERCEPT]]
-            + [self.coefficients[name] for name in self.predictors]
-        )
-
 
 def _column(
     data: Mapping[str, Sequence[float]], name: str, rows: Optional[int] = None
-) -> np.ndarray:
-    """``data[name]`` as a float vector, which must hold ``rows`` values if given."""
-    import numpy as np
-
+) -> list[float]:
+    """``data[name]`` as a list of floats, which must hold ``rows`` values if given."""
     if name not in data:
         raise KeyError(f"no column {name!r}; have {list(data)}")
-    column = np.asarray(data[name], dtype=float)
-    if column.ndim != 1:
-        raise ValueError(f"column {name!r} is not one-dimensional")
-    if rows is not None and column.size != rows:
-        raise ValueError(f"column {name!r} has {column.size} rows, expected {rows}")
+    try:
+        column = [float(v) for v in data[name]]
+    except TypeError as exc:
+        raise ValueError(f"column {name!r} is not one-dimensional") from exc
+    if rows is not None and len(column) != rows:
+        raise ValueError(f"column {name!r} has {len(column)} rows, expected {rows}")
     return column
+
+
+def _jacobi_svd(columns: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
+    """Thin SVD A = U·diag(s)·Vᵀ of the matrix with these columns by one-sided
+    Jacobi rotations (Hestenes), which rotate pairs of columns until all are
+    orthogonal: the columns of A·V (column k is s_k·u_k) and of V, unsorted."""
+    p = len(columns)
+    a = list(columns)
+    v = [[float(i == j) for i in range(p)] for j in range(p)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i in range(p - 1):
+            for j in range(i + 1, p):
+                alpha, beta, gamma = _dot(a[i], a[i]), _dot(a[j], a[j]), _dot(a[i], a[j])
+                if abs(gamma) <= _ORTHOGONAL * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                # The rotation that zeroes the pair's inner product.
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                for m in (a, v):
+                    m[i], m[j] = (
+                        [c * x - s * y for x, y in zip(m[i], m[j])],
+                        [s * x + c * y for x, y in zip(m[i], m[j])],
+                    )
+        if not rotated:
+            return a, v
+    raise ArithmeticError(f"SVD of the design did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
 def ols_fit(
@@ -192,52 +210,60 @@ def ols_fit(
         ValueError: on a column whose length differs from the response's,
             missing values, too few rows (n < k+1), or a rank deficient
             design (collinear columns are named).
+        ArithmeticError: if the SVD does not converge.
     """
-    import numpy as np
-
     names = [INTERCEPT, *predictors]
     y = _column(data, response)
-    x = np.column_stack(
-        [np.ones(y.size)] + [_column(data, name, y.size) for name in predictors]
-    )
-    if np.isnan(y).any() or np.isnan(x).any():
+    n = len(y)
+    x = [[1.0] * n] + [_column(data, name, n) for name in predictors]
+    if any(math.isnan(v) for column in (y, *x) for v in column):
         raise ValueError("missing values in used columns")
-    n, k_plus_1 = x.shape
+    k_plus_1 = len(x)
     if n < k_plus_1:
         raise ValueError(f"need at least {k_plus_1} rows for {k_plus_1} parameters, got {n}")
 
     # One SVD of the unit-norm columns, X·D⁻¹ = U·diag(s)·Vᵀ (D = column norms,
     # 1 for a zero column), gives a rank check free of the columns' units, β
     # and (XᵀX)⁻¹ without forming XᵀX, whose condition number is cond(X)².
-    norms = np.linalg.norm(x, axis=0)
-    norms[norms == 0] = 1.0
-    u, s, vt = np.linalg.svd(x / norms, full_matrices=False)
-    weak = _COND_LIMIT * s**2 < s[0] ** 2
-    if weak.any():
+    norms = [math.sqrt(_dot(column, column)) or 1.0 for column in x]
+    scaled, v = _jacobi_svd([[c / d for c in column] for column, d in zip(x, norms)])
+    s = [math.sqrt(_dot(column, column)) for column in scaled]
+    s_max, s_min = max(s), min(s)
+    weak = [vk for vk, sk in zip(v, s) if _COND_LIMIT * sk * sk < s_max * s_max]
+    if weak:
         # A column is in the dependency when it carries weight in a weak
         # right-singular vector; rounding leaves about 1e-15 of it on the
         # columns outside the dependency.
-        weight = np.abs(vt[weak])
-        carried = (weight > 1e-8 * weight.max(axis=1, keepdims=True)).any(axis=0)
-        bad = sorted(names[j] for j in np.flatnonzero(carried))
-        estimate = f"{(s[0] / s[-1]) ** 2:.3g}" if s[-1] > 0 else "inf"
+        carried = {
+            j for vk in weak for j, e in enumerate(vk) if abs(e) > 1e-8 * max(map(abs, vk))
+        }
+        bad = sorted(names[j] for j in carried)
+        estimate = f"{(s_max / s_min) ** 2:.3g}" if s_min > 0 else "inf"
         raise ValueError(
             "design matrix is rank deficient or ill-conditioned "
             f"(condition estimate {estimate}); collinear columns: {bad}"
         )
-    inverse = (vt.T / s**2) @ vt / np.outer(norms, norms)
-    beta = vt.T @ ((u.T @ y) / s) / norms
+    # β = D⁻¹·V·diag(s)⁻¹·Uᵀy and (XᵀX)⁻¹ = D⁻¹·V·diag(s)⁻²·Vᵀ·D⁻¹, where
+    # s_k⁻¹·u_kᵀy is (s_k·u_k)ᵀy / s_k².
+    scores = [_dot(column, y) / (sk * sk) for column, sk in zip(scaled, s)]
+    beta = [_dot([vk[j] for vk in v], scores) / norms[j] for j in range(k_plus_1)]
+    inverse = [
+        [math.fsum(vk[i] * vk[j] / (sk * sk) for vk, sk in zip(v, s)) / (norms[i] * norms[j])
+         for j in range(k_plus_1)]
+        for i in range(k_plus_1)
+    ]
 
-    residuals = y - x @ beta
-    rss = float(residuals @ residuals)
-    centered = y - y.mean()
-    tss = float(centered @ centered)
+    residuals = [yi - _dot(row, beta) for yi, row in zip(y, zip(*x))]
+    rss = _dot(residuals, residuals)
+    y_mean = statistics.fmean(y)
+    centered = [yi - y_mean for yi in y]
+    tss = _dot(centered, centered)
     df2 = n - k_plus_1
     k = k_plus_1 - 1
 
     if df2 > 0:
         sigma2 = rss / df2
-        se = np.sqrt(sigma2 * np.diag(inverse))
+        se = [math.sqrt(sigma2 * inverse[j][j]) for j in range(k_plus_1)]
         p_values = {}
         for name, b, s in zip(names, beta, se):
             if s > 0:
@@ -246,7 +272,7 @@ def ols_fit(
                 p_values[name] = 0.0 if b != 0 else 1.0
     else:
         sigma2 = float("nan")
-        se = np.full(k_plus_1, float("nan"))
+        se = [float("nan")] * k_plus_1
         p_values = {name: float("nan") for name in names}
 
     if tss > 0.0:
@@ -267,8 +293,8 @@ def ols_fit(
     return OlsFit(
         response=response,
         predictors=tuple(predictors),
-        coefficients={name: float(b) for name, b in zip(names, beta)},
-        standard_errors={name: float(s) for name, s in zip(names, se)},
+        coefficients=dict(zip(names, beta)),
+        standard_errors=dict(zip(names, se)),
         p_values=p_values,
         r_squared=r_squared,
         f_statistic=f_stat,
@@ -278,7 +304,7 @@ def ols_fit(
         tss=tss,
         sigma2=sigma2,
         n=n,
-        covariance=sigma2 * inverse if df2 > 0 else np.full_like(inverse, float("nan")),
+        covariance=tuple(tuple(sigma2 * c for c in row) for row in inverse),
     )
 
 
@@ -321,19 +347,17 @@ def linear_hypothesis(
     Raises:
         ValueError: on a dimension mismatch or singular restricted covariance.
     """
-    import numpy as np
-
-    weights = np.asarray(combination, dtype=float)
+    weights = [float(w) for w in combination]
     k_plus_1 = len(fit.predictors) + 1
-    if weights.shape != (k_plus_1,):
-        raise ValueError(
-            f"combination has dimension {weights.shape}, expected ({k_plus_1},)"
-        )
+    if len(weights) != k_plus_1:
+        raise ValueError(f"combination has dimension {len(weights)}, expected {k_plus_1}")
     df2 = fit.residual_df
     if df2 <= 0:
         raise ValueError("fit has no residual degrees of freedom")
-    estimate = float(weights @ fit.param_vector())
-    variance = float(weights @ fit.covariance @ weights)
+    estimate = _dot(weights, [fit.coefficients[name] for name in (INTERCEPT, *fit.predictors)])
+    variance = math.fsum(
+        wi * c * wj for wi, row in zip(weights, fit.covariance) for wj, c in zip(weights, row)
+    )
     if not variance > 0.0:
         raise ValueError("singular restricted covariance for this combination")
     f_value = (estimate - target) ** 2 / variance

@@ -395,8 +395,11 @@ def write_goldens():
         for var in ["q_score", "fraction", "det_norm", "deg_norm", "avg_strength",
                     "member_count"]:
             values = np.array([float(row[index[var]]) for row in variables_rows])
+            # The correctly rounded mean: the det_norm mean is a decimal tie,
+            # 0.6378595, and a pairwise sum lands one ulp below it.
+            mean = math.fsum(values) / values.size
             writer.writerow(
-                [var, f"{values.mean():.6f}", f"{values.std(ddof=1):.6f}",
+                [var, f"{mean:.6f}", f"{values.std(ddof=1):.6f}",
                  f"{np.median(values):.6f}"]
             )
     return len(variables_rows)

@@ -266,6 +266,15 @@ def test_vertex_transitive_graphs_have_zero_degeneracy(n):
     assert abs(effective_information(complete(n)).degeneracy_bits) <= 1e-12
 
 
+def test_regular_networks_have_exactly_zero_degeneracy():
+    # log2 n minus an entropy over n nodes: rounding once left -4.4e-16 on
+    # these two, which the metrics stage wrote as -0.000000.
+    for edges in (ring(11), complete(9)):
+        m = effective_information(edges)
+        assert m.degeneracy_bits == 0.0
+        assert f"{m.degeneracy_norm:.6f}" == "0.000000"
+
+
 @given(st.integers(min_value=4, max_value=64))
 @settings(max_examples=61, deadline=None)
 def test_ring_beats_star_on_effective_information(n):

@@ -1,11 +1,15 @@
 import math
+import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicomm import stats
+from wikicomm.pipeline import MODEL_1, _read_model_columns
 from wikicomm.stats import (
     INTERCEPT,
     Descriptives,
@@ -86,6 +90,11 @@ class TestPearson:
             pearson_r([1, 2, 3], [1, 2])
 
 
+def params(fit) -> list[float]:
+    """The coefficients in ``(const, *predictors)`` order, the covariance's order."""
+    return [fit.coefficients[name] for name in (INTERCEPT, *fit.predictors)]
+
+
 def synthetic_dataset(seed: int = 42, n: int = 50):
     rng = np.random.default_rng(seed)
     x1 = rng.normal(size=n)
@@ -126,7 +135,7 @@ class TestOlsFit:
         data = synthetic_dataset(seed=3)
         fit = ols_fit(data, "y", ["x1", "x2", "x3"])
         x = np.column_stack([data["x1"], data["x2"], data["x3"]])
-        beta = fit.param_vector()
+        beta = params(fit)
         design = np.column_stack([np.ones(50), x])
         resid = np.asarray(data["y"]) - design @ beta
         for j in range(x.shape[1]):
@@ -172,6 +181,11 @@ class TestOlsFit:
         for name in ("const", "x"):
             assert big.p_values[name] == pytest.approx(plain.p_values[name], rel=1e-9, abs=0)
         assert big.coefficients["x"] == pytest.approx(1e-7 * plain.coefficients["x"], rel=1e-9)
+
+    def test_unconverged_svd_raises_arithmetic_error(self, monkeypatch):
+        monkeypatch.setattr(stats, "_JACOBI_SWEEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
+            ols_fit(synthetic_dataset(), "y", ["x1", "x2", "x3"])
 
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -226,7 +240,7 @@ class TestExactOracle:
         fit = ols_fit(data, "y", predictors)
         x = np.column_stack([np.ones(60)] + [data[name] for name in predictors])
         exact = ols_exact(x, data["y"])
-        for got, want in zip(fit.param_vector(), exact):
+        for got, want in zip(params(fit), exact):
             assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_cubic_design_is_rejected(self):
@@ -411,7 +425,37 @@ def test_reparameterized_model_reproduces_predictions():
     diff_fit = ols_fit(data, "y", ["ei", "strength"])
     x_pair = np.column_stack([np.ones(n), det, deg, strength])
     x_diff = np.column_stack([np.ones(n), det - deg, strength])
-    pred_pair = x_pair @ pair_fit.param_vector()
-    pred_diff = x_diff @ diff_fit.param_vector()
+    pred_pair = x_pair @ params(pair_fit)
+    pred_diff = x_diff @ params(diff_fit)
     assert np.max(np.abs(pred_pair - pred_diff)) < 1e-9
     assert np.max(np.abs(pred_pair - y)) < 1e-9
+
+
+class TestRowOrder:
+    """Shuffled rows give bit-identical results: every sum over rows is an
+    ``fsum``, and a BLAS or pairwise sum would change the last bits."""
+
+    VARIABLES = Path(__file__).parent / "fixtures" / "miniwiki" / "golden" / "variables.csv"
+
+    @staticmethod
+    def shuffled(columns: dict[str, list[float]]):
+        n = len(next(iter(columns.values())))
+        for seed in range(20):
+            order = random.Random(seed).sample(range(n), n)
+            yield {name: [values[i] for i in order] for name, values in columns.items()}
+
+    def test_model_1_fit(self):
+        columns = _read_model_columns(self.VARIABLES)
+        base = ols_fit(columns, "quality_log", MODEL_1)
+        for shuffled in self.shuffled(columns):
+            fit = ols_fit(shuffled, "quality_log", MODEL_1)
+            assert fit.coefficients == base.coefficients
+            assert fit.standard_errors == base.standard_errors
+            assert fit.rss == base.rss
+
+    def test_descriptives(self):
+        columns = _read_model_columns(self.VARIABLES)
+        for name in ("det_norm", "q_score"):
+            base = descriptives(columns[name])
+            for shuffled in self.shuffled({name: columns[name]}):
+                assert descriptives(shuffled[name]) == base
