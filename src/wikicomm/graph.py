@@ -1,10 +1,19 @@
-"""Random-walk structure metrics of weighted undirected interaction networks.
+"""Per-project communication networks: built from interaction counts, written
+and read as edge lists, and measured by the random walk on them.
+
+A post by editor A on the talk page of editor B counts as one undirected
+interaction A–B when both are members of the project under construction and
+A is not B; self-posts and posts that involve a non-member never count. The
+input is ``(A, B, count)`` triples, as the parse stage writes them to
+``interactions.tsv``; mass-message threads are filtered out there, before
+the posts are counted.
 
 A network is its edge rows: ``(u, v, w)`` triples, where the integer weight
-w >= 1 counts the interactions between nodes u and v. The network stage
-yields them summed, sorted and with ``u < v``; :func:`effective_information`
-also takes them in any order and direction, and sums repeated pairs.
-Members without an edge are isolated and take no part in the metrics.
+w >= 1 counts the interactions between nodes u and v. :func:`build_networks`
+yields them summed, sorted and with ``u < v``, together with the sorted
+members in no row, which are isolated and take no part in the metrics;
+:func:`effective_information` also takes rows in any order and direction,
+and sums repeated pairs.
 
 The communication structure of a group is summarized by three quantities
 of the random walk on its interaction graph, where a walker at node i steps
@@ -30,13 +39,15 @@ between hosts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Collection, Iterable
+from typing import IO, AbstractSet, Collection, Iterable, Iterator, Mapping
 
 __all__ = [
     "SelfLoopError",
     "StructureMetrics",
+    "build_networks",
     "effective_information",
     "write_edge_list",
     "read_edge_list",
@@ -59,6 +70,45 @@ class StructureMetrics:
     effective_information_norm: float
     active_n: int
     average_strength: float
+
+
+def build_networks(
+    interactions: Iterable[tuple[str, str, int]],
+    members_by_project: Mapping[str, AbstractSet[str]],
+) -> Iterator[tuple[str, list[tuple[str, str, int]], list[str]]]:
+    """Yield ``(project, rows, isolated)`` per project, in sorted project order.
+
+    The networks come from one pass over ``(author, page_owner, count)``
+    triples. A triple stands for ``count`` posts; repeated pairs, in either
+    direction, add up. A project's ``rows`` are its summed member pairs
+    ``(u, v, weight)`` with ``u < v``, sorted, and ``isolated`` are its
+    members in no row, sorted: together, what its edge list holds.
+
+    The counts are summed once into a neighbour index that holds each pair
+    under its smaller endpoint, so the cost of a project scales with its
+    members' degrees, not with the corpus. Each project's network is built
+    only when it is asked for, so a caller that lets go of it before the next
+    holds one network at a time.
+    """
+    neighbours: dict[str, dict[str, int]] = {}
+    for author, owner, count in interactions:
+        if author == owner:
+            continue
+        u, v = (author, owner) if author < owner else (owner, author)
+        row = neighbours.get(u)
+        if row is None:
+            row = neighbours[u] = {}
+        row[v] = row.get(v, 0) + count
+    for project in sorted(members_by_project):
+        members = members_by_project[project]
+        rows = sorted(
+            (u, v, w)
+            for u in members
+            for v, w in neighbours.get(u, {}).items()
+            if v in members
+        )
+        active = {name for u, v, _ in rows for name in (u, v)}
+        yield project, rows, sorted(members - active)
 
 
 def effective_information(edges: Iterable[tuple[str, str, int]]) -> StructureMetrics:
@@ -123,19 +173,23 @@ def effective_information(edges: Iterable[tuple[str, str, int]]) -> StructureMet
 
 
 def write_edge_list(
-    edges: Collection[tuple[str, str, int]], members: Iterable[str], out: IO[str]
+    rows: Collection[tuple[str, str, int]], isolated: Collection[str], out: IO[str]
 ) -> None:
-    """Serialize a network as tab-separated lines: each edge row ``u\\tv\\tw``
-    in the given order, then each member in no edge, sorted, as ``name\\t0``."""
-    members = set(members)
-    active = {name for u, v, _ in edges for name in (u, v)}
-    for name in members | active:
+    """Serialize a network as tab-separated lines, in the given order: each
+    edge row as ``u\\tv\\tw``, then each isolated member as ``name\\t0``.
+
+    Raises:
+        ValueError: before anything is written, if a name holds a tab or a
+            line break.
+    """
+    row_names = (name for u, v, _ in rows for name in (u, v))
+    for name in itertools.chain(row_names, isolated):
         # A reader in text mode also ends a line at "\r".
         if "\t" in name or "\n" in name or "\r" in name:
             raise ValueError(f"node name not serializable in edge-list format: {name!r}")
-    for u, v, w in edges:
+    for u, v, w in rows:
         out.write(f"{u}\t{v}\t{w}\n")
-    for name in sorted(members - active):
+    for name in isolated:
         out.write(f"{name}\t0\n")
 
 

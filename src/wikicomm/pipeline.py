@@ -5,12 +5,12 @@ rewrites its outputs deterministically, so a run over an unchanged cache is
 byte-identical and any stage can be rerun in isolation. A stage failure
 halts the run with the stage name; everything already fetched stays cached.
 
-The analysis layers (``graph``, ``network``, ``quality``, ``stats``,
-``report``) load on the first call of one of their functions, so the
-commands that never compute with them (``ingest``, ``parse``, ``--help``)
-start without them. Each such function is a module-level name here that
-imports its module when first called and stays the name the stages call:
-the benchmark's tracer wraps these names to time each layer.
+The analysis layers (``graph``, ``quality``, ``stats``, ``report``) load on
+the first call of one of their functions, so the commands that never compute
+with them (``ingest``, ``parse``, ``--help``) start without them. Each such
+function is a module-level name here that imports its module when first
+called and stays the name the stages call: the benchmark's tracer wraps these
+names to time each layer.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ def _on_first_call(module: str, name: str) -> Callable:
 effective_information = _on_first_call("graph", "effective_information")
 read_edge_list = _on_first_call("graph", "read_edge_list")
 write_edge_list = _on_first_call("graph", "write_edge_list")
-build_networks = _on_first_call("network", "build_networks")
-summary_row = _on_first_call("network", "summary_row")
+build_networks = _on_first_call("graph", "build_networks")
 q_score = _on_first_call("quality", "q_score")
 read_assessments_csv = _on_first_call("quality", "read_assessments_csv")
 write_quality_csv = _on_first_call("quality", "write_quality_csv")
@@ -424,8 +423,19 @@ def stage_parse(config: PipelineConfig) -> dict:
 # -- build ------------------------------------------------------------------
 
 
-def _read_members(out: Path) -> dict[str, list[str]]:
-    return json.loads((out / "members.json").read_text(encoding="utf-8"))
+def _read_members(out: Path) -> dict[str, set[str]]:
+    """Each project's member set, from ``members.json``.
+
+    Raises:
+        ValueError: unless the file maps each project to a list of names.
+    """
+    members = json.loads((out / "members.json").read_text(encoding="utf-8"))
+    if not isinstance(members, dict):
+        raise ValueError("members.json must map each project to a list of names")
+    for project, names in members.items():
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise ValueError(f"members.json: project {project!r} must list names as strings")
+    return {project: set(names) for project, names in members.items()}
 
 
 def _read_interactions(path: Path) -> Iterator[tuple[str, str, int]]:
@@ -461,14 +471,17 @@ def stage_build(config: PipelineConfig) -> int:
     rows = []
     slugs: set[str] = set()
     with _dir_replaced_on_success(out / "networks") as networks_dir:
-        for project, network in build_networks(_read_interactions(interactions), members):
+        networks = build_networks(_read_interactions(interactions), members)
+        for project, network, isolated in networks:
             slug = _slug(project)
             if slug in slugs:
                 raise ValueError(f"project slug collision for {project!r}")
             slugs.add(slug)
             with open(networks_dir / f"{slug}.edges", "w", encoding="utf-8") as f:
-                write_edge_list(network, members[project], f)
-            rows.append(summary_row(project, members[project], network))
+                write_edge_list(network, isolated, f)
+            member_count = len(members[project])
+            active = member_count - len(isolated)
+            rows.append((project, member_count, active, f"{active / member_count:.6f}"))
         with _replaced_on_success(out / "projects.csv") as f:
             header = ["project", "member_count", "active_nodes", "fraction_in_network"]
             _write_csv(f, header, rows)
@@ -615,12 +628,12 @@ def stage_metrics(config: PipelineConfig) -> int:
             ]
         )
     summary_vars = ["q_score", "fraction", "det_norm", "deg_norm", "avg_strength", "member_count"]
-    summary_rows = []
+    summaries = []
     if rows_out:
         column_index = {name: i for i, name in enumerate(header)}
         for name in summary_vars:
             d = descriptives([float(r[column_index[name]]) for r in rows_out])
-            summary_rows.append(
+            summaries.append(
                 [
                     name,
                     f"{d.mean:.6f}",
@@ -631,7 +644,7 @@ def stage_metrics(config: PipelineConfig) -> int:
     with _replaced_on_success(out / "variables.csv") as f:
         _write_csv(f, header, rows_out)
     with _replaced_on_success(out / "variables_summary.csv") as f:
-        _write_csv(f, ["variable", "mean", "sd", "median"], summary_rows)
+        _write_csv(f, ["variable", "mean", "sd", "median"], summaries)
     return len(kept)
 
 

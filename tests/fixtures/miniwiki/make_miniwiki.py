@@ -324,7 +324,7 @@ def write_goldens():
     networks.mkdir(parents=True, exist_ok=True)
 
     canonical = {"Juniper trees": "Junipers"}
-    summary_rows = []
+    projects_rows = []
     variables_rows = []
     quality_rows = []
 
@@ -351,7 +351,7 @@ def write_goldens():
         (networks / f"{name}.edges").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         fraction = len(actives) / len(members)
-        summary_rows.append([name, str(len(members)), str(len(actives)), f"{fraction:.6f}"])
+        projects_rows.append([name, str(len(members)), str(len(actives)), f"{fraction:.6f}"])
 
         n_quality = fa + ga
         q = n_quality / math.sqrt(n_articles)
@@ -374,7 +374,7 @@ def write_goldens():
     with open(golden / "projects.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["project", "member_count", "active_nodes", "fraction_in_network"])
-        writer.writerows(summary_rows)
+        writer.writerows(projects_rows)
 
     with open(golden / "quality.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -64,6 +65,26 @@ class TestExitCodes:
         config = write_config(tmp_path)
         (tmp_path / "out").mkdir(parents=True)
         assert main(["--config", str(config), "--offline", "regress"]) == EXIT_DATA
+
+    def test_members_json_of_the_wrong_shape_is_4(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        seed(tmp_path)
+        offline = ["--config", str(config), "--offline"]
+        for verb in ["ingest", "parse", "build"]:
+            assert main(offline + [verb]) == 0, verb
+        out = tmp_path / "out"
+
+        def built():
+            return {p: p.read_bytes() for p in [out / "projects.csv", *out.glob("networks*/*")]}
+
+        before = built()
+        # A string is not a member list, and a member name is a string.
+        for members in [{"P": "Alice Bob"}, {"P": ["Alice", 7]}]:
+            (out / "members.json").write_text(json.dumps(members))
+            capsys.readouterr()
+            assert main(offline + ["build"]) == EXIT_DATA, members
+            assert "project 'P'" in capsys.readouterr().err
+            assert built() == before
 
     def test_data_invariant_violation_is_4(self, tmp_path):
         config = write_config(tmp_path)
@@ -141,8 +162,12 @@ def test_offline_run_loads_no_http_stack(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-LAYERS = ("wikicomm.graph", "wikicomm.network", "wikicomm.quality", "wikicomm.stats",
-          "wikicomm.special", "wikicomm.report")
+# The analysis layers: every module but the command line, the crawler, the
+# configuration, the stages and the parser, which every command may load.
+LAYERS = tuple(
+    f"wikicomm.{info.name}" for info in pkgutil.iter_modules(wikicomm.__path__)
+    if info.name not in {"cli", "client", "config", "pipeline", "wikitext"}
+)
 
 
 def test_commands_load_only_the_layers_they_call(tmp_path):
@@ -173,7 +198,7 @@ def test_commands_load_only_the_layers_they_call(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded = json.loads(result.stdout.strip().splitlines()[-1])
-    # import, ingest, parse, --help and report load none; run loads all six.
+    # import, ingest, parse, --help and report load none; run loads them all.
     assert loaded == [[], [], [], [], [], sorted(LAYERS)]
 
 

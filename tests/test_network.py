@@ -1,8 +1,7 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikicomm.network import build_networks, summary_row
+from wikicomm.graph import build_networks
 
 from oracles import direct_networks
 
@@ -11,7 +10,8 @@ MEMBERS = {"A", "B", "C"}
 
 def project_network(interactions, members) -> list[tuple[str, str, int]]:
     """One project's rows through the multi-project builder."""
-    return dict(build_networks(interactions, {"P": members}))["P"]
+    [(_, rows, _)] = build_networks(interactions, {"P": members})
+    return rows
 
 
 def weights(rows) -> dict[tuple[str, str], int]:
@@ -101,16 +101,21 @@ def interactions_and_projects(draw):
 @settings(max_examples=200, deadline=None)
 def test_one_pass_builder_matches_per_project_rescan(case):
     interactions, projects = case
-    networks = dict(build_networks(iter(interactions), projects))
+    networks = {project: (rows, isolated)
+                for project, rows, isolated in build_networks(iter(interactions), projects)}
     # The oracle rescans one (author, owner) post per counted message.
     posts = [(author, owner) for author, owner, count in interactions for _ in range(count)]
     expected = direct_networks(posts, projects)
     assert list(networks) == sorted(expected)
-    for project, (_, edges) in expected.items():
-        rows = networks[project]
+    for project, (members, edges) in expected.items():
+        rows, isolated = networks[project]
         assert rows == sorted(rows)
         assert all(u < v for u, v, _ in rows)
         assert weights(rows) == edges
+        row_nodes = {name for u, v, _ in rows for name in (u, v)}
+        assert row_nodes.isdisjoint(isolated)
+        assert row_nodes | set(isolated) == members
+        assert isolated == sorted(isolated)
 
 
 def test_repeated_pairs_in_both_directions_add_up():
@@ -118,28 +123,8 @@ def test_repeated_pairs_in_both_directions_add_up():
     interactions = [
         ("B", "A", 3), ("A", "B", 2), ("A", "B", 1), ("A", "A", 5), ("C", "Z", 4), ("C", "B", 7)
     ]
-    networks = dict(build_networks(interactions, {"Q": {"B", "C", "Z"}, "P": MEMBERS}))
-    assert list(networks) == ["P", "Q"]
-    assert networks["P"] == [("A", "B", 6), ("B", "C", 7)]
-    assert networks["Q"] == [("B", "C", 7), ("C", "Z", 4)]
-
-
-class TestProjectRecord:
-    """The project's ``projects.csv`` row."""
-
-    def test_fraction(self):
-        rows = project_network([("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "E", 1)],
-                               set("ABCDEFGHIJ"))
-        assert summary_row("P", set("ABCDEFGHIJ"), rows) == ("P", 10, 5, "0.500000")
-
-    def test_all_isolated(self):
-        assert summary_row("P", {"A", "B"}, []) == ("P", 2, 0, "0.000000")
-
-    def test_empty_member_set_errors(self):
-        with pytest.raises(ValueError):
-            summary_row("P", set(), [])
-
-
-def test_summary_csv_format():
-    rows = project_network([("A", "B", 1)], {"A", "B"})
-    assert summary_row("Storms", {"A", "B", "C", "D"}, rows) == ("Storms", 4, 2, "0.500000")
+    networks = list(build_networks(interactions, {"Q": {"B", "C", "Z", "Y"}, "P": MEMBERS}))
+    assert networks == [
+        ("P", [("A", "B", 6), ("B", "C", 7)], []),
+        ("Q", [("B", "C", 7), ("C", "Z", 4)], ["Y"]),
+    ]

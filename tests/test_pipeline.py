@@ -191,12 +191,12 @@ class TestGoldenRun:
         write_edge_list = pipeline.write_edge_list
         calls = []
 
-        def fail_on_third_project(edges, members, f):
+        def fail_on_third_project(edges, isolated, f):
             calls.append(edges)
             if len(calls) == 3:
                 f.write("half a li")
                 raise OSError("disk full")
-            write_edge_list(edges, members, f)
+            write_edge_list(edges, isolated, f)
 
         monkeypatch.setattr(pipeline, "write_edge_list", fail_on_third_project)
         with pytest.raises(PipelineStageError, match="disk full"):
@@ -380,6 +380,22 @@ class TestReportObservations:
         bundle = json.loads((Path(config.output_dir) / "bundle_meta.json").read_text())
         assert bundle["observations"] == 0
         assert bundle["anchors_comparable"] is False
+
+
+@pytest.mark.parametrize("listed", [["A", "B", "C", "D"], ["A", "B", "A", "C", "D", "D"]],
+                         ids=["each_once", "repeated"])
+def test_build_counts_each_member_once(tmp_path, listed):
+    (tmp_path / "interactions.tsv").write_text("A\tB\t2\nC\tB\t1\nA\tZ\t5\n")
+    members = {"Quiet": ["E", "F"], "Busy": listed, "Empty": []}
+    (tmp_path / "members.json").write_text(json.dumps(members))
+    assert run_stage("build", PipelineConfig(output_dir=str(tmp_path))) == 2
+    assert (tmp_path / "projects.csv").read_text() == (
+        "project,member_count,active_nodes,fraction_in_network\n"
+        "Busy,4,3,0.750000\n"
+        "Quiet,2,0,0.000000\n"
+    )
+    assert (tmp_path / "networks" / "Busy.edges").read_text() == "A\tB\t2\nB\tC\t1\nD\t0\n"
+    assert (tmp_path / "networks" / "Quiet.edges").read_text() == "E\t0\nF\t0\n"
 
 
 def write_metrics_workdir(out: Path, projects) -> None:
