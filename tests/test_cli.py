@@ -8,6 +8,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import wikicomm
 import wikicomm.pipeline as pipeline
 from wikicomm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NETWORK, main
@@ -66,7 +68,14 @@ class TestExitCodes:
         (tmp_path / "out").mkdir(parents=True)
         assert main(["--config", str(config), "--offline", "regress"]) == EXIT_DATA
 
-    def test_members_json_of_the_wrong_shape_is_4(self, tmp_path, capsys):
+    # A string is not a member list, a member name is a string, and the file
+    # maps projects to member lists.
+    @pytest.mark.parametrize("members, named", [
+        ({"P": "Alice Bob"}, "project 'P'"),
+        ({"P": ["Alice", 7]}, "project 'P'"),
+        (["Alice", "Bob"], "must map each project"),
+    ], ids=["string_list", "non_string_name", "not_an_object"])
+    def test_members_json_of_the_wrong_shape_is_4(self, tmp_path, capsys, members, named):
         config = write_config(tmp_path)
         seed(tmp_path)
         offline = ["--config", str(config), "--offline"]
@@ -78,13 +87,11 @@ class TestExitCodes:
             return {p: p.read_bytes() for p in [out / "projects.csv", *out.glob("networks*/*")]}
 
         before = built()
-        # A string is not a member list, and a member name is a string.
-        for members in [{"P": "Alice Bob"}, {"P": ["Alice", 7]}]:
-            (out / "members.json").write_text(json.dumps(members))
-            capsys.readouterr()
-            assert main(offline + ["build"]) == EXIT_DATA, members
-            assert "project 'P'" in capsys.readouterr().err
-            assert built() == before
+        (out / "members.json").write_text(json.dumps(members))
+        capsys.readouterr()
+        assert main(offline + ["build"]) == EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert built() == before
 
     def test_data_invariant_violation_is_4(self, tmp_path):
         config = write_config(tmp_path)

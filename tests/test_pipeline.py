@@ -398,6 +398,19 @@ def test_build_counts_each_member_once(tmp_path, listed):
     assert (tmp_path / "networks" / "Quiet.edges").read_text() == "E\t0\nF\t0\n"
 
 
+def test_build_skips_a_project_without_members(tmp_path, caplog):
+    (tmp_path / "interactions.tsv").write_text("A\tB\t2\n")
+    (tmp_path / "members.json").write_text(json.dumps({"Empty": [], "Pair": ["A", "B"]}))
+    with caplog.at_level("WARNING", logger="wikicomm.pipeline"):
+        assert run_stage("build", PipelineConfig(output_dir=str(tmp_path))) == 1
+    assert caplog.messages == ["project Empty has no detected members, skipped"]
+    assert sorted(p.name for p in (tmp_path / "networks").iterdir()) == ["Pair.edges"]
+    assert (tmp_path / "projects.csv").read_text() == (
+        "project,member_count,active_nodes,fraction_in_network\n"
+        "Pair,2,2,1.000000\n"
+    )
+
+
 def write_metrics_workdir(out: Path, projects) -> None:
     """A work dir with only ``projects.csv``, ``quality.csv`` and ``networks/``.
 
