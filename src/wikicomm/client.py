@@ -8,9 +8,7 @@ also makes every pipeline stage replayable offline. Each cache appends its
 answers to one pack file of its own, ``<UTC instant>-<pid>.pack``: per
 answer, a JSON header line holding the key, the fetch instant and the
 payload size, then the payload bytes as received. A record cut short by an
-interrupted write can only end a pack, and is ignored. The per-answer files
-of earlier versions, ``<sha256(key)>.entry`` and the ``<sha256>.body`` +
-``<sha256>.meta.json`` pair, are still read and never written.
+interrupted write can only end a pack, and is ignored.
 The client sends two fixed queries, ``PAGE_QUERY`` per title and the paged
 ``ASSESSMENTS_QUERY``. Both ask for ``formatversion=2``, the one response
 shape it reads; an answer of another shape fails with :class:`DataError`.
@@ -125,37 +123,23 @@ class ResponseCache:
     key to its record. It reads the header of every record in every
     ``*.pack``, in name order, and stops reading a pack at a header line
     that is cut or does not parse, or at a payload that runs past the end of
-    the file, with a warning; the first record of a key wins. It also takes
-    in the per-answer files of earlier versions, a ``<sha256>.entry`` (a
-    header line without ``size``, then the payload) and a ``<sha256>.body``
-    beside its ``<sha256>.meta.json``, which are read and never written.
-    The cache therefore sees what existed when it was built and what it
-    writes itself, not what another process writes meanwhile. ``get`` is a
-    dict lookup: a miss touches no file, and a hit reads one record.
+    the file, with a warning; the first record of a key wins. Any other file
+    in the directory is ignored and left as it is. The cache therefore sees
+    what existed when it was built and what it writes itself, not what
+    another process writes meanwhile. ``get`` is a dict lookup: a miss
+    touches no file, and a hit reads one record.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        # digest -> (file, offset of its record); a two-file entry is (stem, None).
-        self._index: dict[bytes, tuple[str, Optional[int]]] = {}
+        # digest -> (pack, offset of its record)
+        self._index: dict[bytes, tuple[str, int]] = {}
         self._pack: Optional[str] = None
         with os.scandir(self._dir) as listing:
-            names = sorted(item.name for item in listing)
-        for name in names:
-            path = os.path.join(self._dir, name)
-            if name.endswith(".pack"):
-                self._scan_pack(path)
-            elif name.endswith(".entry"):
-                self._note_file(name[: -len(".entry")], (path, 0))
-            elif name.endswith(".meta.json"):
-                self._note_file(name[: -len(".meta.json")], (path[: -len(".meta.json")], None))
-
-    def _note_file(self, stem: str, location: tuple[str, Optional[int]]) -> None:
-        try:
-            self._index.setdefault(bytes.fromhex(stem), location)
-        except ValueError:  # not named by a digest, so no entry of this cache
-            pass
+            packs = sorted(item.path for item in listing if item.name.endswith(".pack"))
+        for path in packs:
+            self._scan_pack(path)
 
     def _scan_pack(self, path: str) -> None:
         """Index the records of one pack, up to the first torn one."""
@@ -176,25 +160,20 @@ class ResponseCache:
                 f.seek(offset)
 
     @staticmethod
-    def _read(path: str, offset: Optional[int]) -> CacheEntry:
-        if offset is None:
-            # The layout of earlier versions, whose put renamed the body
-            # into place before the meta: a meta file means a whole body.
-            with open(path + ".meta.json", "rb") as f:
-                meta = json.loads(f.read())
-            with open(path + ".body", "rb") as f:
-                payload = f.read()
-        else:
-            with open(path, "rb") as f:
-                f.seek(offset)
-                meta = json.loads(f.readline())
-                # An ``.entry`` file is one record whose header has no size.
-                payload = f.read(meta["size"]) if "size" in meta else f.read()
+    def _read(path: str, offset: int) -> CacheEntry:
+        with open(path, "rb") as f:
+            f.seek(offset)
+            meta = json.loads(f.readline())
+            payload = f.read(meta["size"])
         return CacheEntry(
             key=meta["key"],
             fetched_at=datetime.fromisoformat(meta["fetched_at"]),
             payload=payload,
         )
+
+    def _pack_of(self, key: str) -> str:
+        """The pack that holds the record of ``key``, which must be cached."""
+        return self._index[_digest(key)][0]
 
     def get(self, key: str) -> Optional[CacheEntry]:
         location = self._index.get(_digest(key))
@@ -320,7 +299,10 @@ class MediaWikiClient:
         if cached is not None:
             body = _json_object(cached.payload)
             if body is None or "error" in body:
-                raise DataError(f"cached response is no API answer, delete its entry: {params}")
+                raise DataError(
+                    f"cached response is no API answer for request {params}; deleting "
+                    f"{self.cache._pack_of(key)} makes its answers get fetched again"
+                )
             self._count(cached)
             return body
         if self.config.offline:

@@ -11,9 +11,9 @@ the posts are counted.
 A network is its edge rows: ``(u, v, w)`` triples, where the integer weight
 w >= 1 counts the interactions between nodes u and v. :func:`build_networks`
 yields them summed, sorted and with ``u < v``, together with the sorted
-members in no row, which are isolated and take no part in the metrics;
-:func:`effective_information` also takes rows in any order and direction,
-and sums repeated pairs.
+members in no row, which are isolated and take no part in the metrics.
+:func:`effective_information` takes the rows in that one form, and
+:func:`read_edge_list` checks that a file holds them so.
 
 The communication structure of a group is summarized by three quantities
 of the random walk on its interaction graph, where a walker at node i steps
@@ -31,10 +31,9 @@ log2(n). They are computed in O(E) from the edge list, never from an n×n
 matrix: the entropy of node i's step is log2 s_i − Σ_j w_ij log2 w_ij / s_i,
 and the mean step distribution accumulates w_ij / (n·s_i) per edge. The
 same pass gives the average strength, the mean of s_i over those n nodes.
-It is plain Python: each node's sums run in the order of the sorted pairs,
-and the means over nodes are ``math.fsum`` sums, so the result does not
-depend on the order of the rows, and only libm's ``log2`` can differ
-between hosts.
+It is plain Python: each node's sums run in the order of the sorted rows,
+and the means over nodes are ``math.fsum`` sums, so only libm's ``log2``
+can differ between hosts.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, AbstractSet, Collection, Iterable, Iterator, Mapping
+from typing import IO, AbstractSet, Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "SelfLoopError",
@@ -111,30 +110,20 @@ def build_networks(
         yield project, rows, sorted(members - active)
 
 
-def effective_information(edges: Iterable[tuple[str, str, int]]) -> StructureMetrics:
+def effective_information(edges: Sequence[tuple[str, str, int]]) -> StructureMetrics:
     """The six walk metrics of the network of ``(u, v, weight)`` edges (bit
     values and log2(n)-normalized) and its mean node strength, all over the
     nodes of its edges.
 
-    Repeated pairs, in either direction, add up.
+    The edges are rows as :func:`build_networks` yields them and
+    :func:`read_edge_list` returns them: each pair once, with ``u < v`` and
+    a positive integer weight, sorted.
 
     Raises:
-        SelfLoopError: if an edge joins a node to itself.
-        ValueError: if a weight is not a positive integer, or if the edges
-            join fewer than 2 nodes.
+        ValueError: if the edges join fewer than 2 nodes.
     """
-    summed: dict[tuple[str, str], int] = {}
-    for u, v, w in edges:
-        if u == v:
-            raise SelfLoopError(f"self-loop on node {u!r}")
-        if not isinstance(w, int) or w < 1:
-            raise ValueError(f"edge weight must be a positive integer, got {w!r}")
-        key = (u, v) if u <= v else (v, u)
-        summed[key] = summed.get(key, 0) + w
-    # Sorted pairs make the floating-point sums independent of input order.
-    pairs = sorted(summed.items())
     strength: dict[str, int] = {}
-    for (u, v), w in pairs:
+    for u, v, w in edges:
         strength[u] = strength.get(u, 0) + w
         strength[v] = strength.get(v, 0) + w
     n_active = len(strength)
@@ -147,7 +136,7 @@ def effective_information(edges: Iterable[tuple[str, str, int]]) -> StructureMet
     # target, so no mean-row entry is zero.
     w_log_w = dict.fromkeys(strength, 0.0)
     mean_row = dict.fromkeys(strength, 0.0)
-    for (u, v), w in pairs:
+    for u, v, w in edges:
         term = w * math.log2(w)
         w_log_w[u] += term
         w_log_w[v] += term
@@ -196,9 +185,12 @@ def write_edge_list(
 def read_edge_list(source: IO[str]) -> list[tuple[str, str, int]]:
     """The edge rows of the format written by :func:`write_edge_list`.
 
-    Each isolated-node line ``name\\t0`` is checked and skipped.
+    The rows must be sorted, each pair once and with ``u < v``, the form
+    that :func:`effective_information` takes. Each isolated-node line
+    ``name\\t0`` is checked and skipped.
     """
     edges: list[tuple[str, str, int]] = []
+    previous = ("", "")  # before every pair with u < v
     for lineno, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -213,6 +205,11 @@ def read_edge_list(source: IO[str]) -> list[tuple[str, str, int]]:
                 raise ValueError(f"line {lineno}: edge weight must be >= 1, got {w}")
             if u == v:
                 raise SelfLoopError(f"line {lineno}: self-loop on {u!r}")
+            if u > v:
+                raise ValueError(f"line {lineno}: edge row has u > v: {line!r}")
+            if (u, v) <= previous:
+                raise ValueError(f"line {lineno}: edge row not after the one before: {line!r}")
+            previous = (u, v)
             edges.append((u, v, weight))
         elif len(parts) != 2 or parts[1] != "0":
             raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}")

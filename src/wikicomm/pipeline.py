@@ -402,10 +402,6 @@ def stage_parse(config: PipelineConfig) -> dict:
             skipped += len(reasons)
             for reason in reasons:
                 log.warning("skipping non-user-talk record: %s", reason)
-    # Older versions also wrote every post to posts.jsonl; such a file would
-    # no longer agree with the interactions just written.
-    for name in ("posts.jsonl", "posts.jsonl.tmp"):
-        (out / name).unlink(missing_ok=True)
     log.info(
         "parse: %d pages -> %d posts (%d records skipped); %d posts kept; "
         "dropped %d in mass-message threads, %d self-posts",
@@ -460,7 +456,7 @@ def stage_build(config: PipelineConfig) -> int:
     out = _out(config)
     interactions = out / "interactions.tsv"
     if not interactions.exists():
-        # Work dirs parsed by versions that predate this file lack it.
+        # Reached when build runs before parse.
         raise FileNotFoundError(f"{interactions} not found; rerun the parse stage")
     members = _read_members(out)
     for project in sorted(members):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -68,25 +67,6 @@ def page_response(title, wikitext=None, missing=False):
     elif wikitext is not None:
         page["revisions"] = [{"slots": {"main": {"content": wikitext}}}]
     return {"query": {"pages": [page]}}
-
-
-def write_legacy_cache_entry(directory, key, fetched_at, payload):
-    """Cache one response in the two-file layout that earlier versions wrote.
-
-    ``fetched_at`` is the ISO-8601 string the meta file holds.
-    """
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    (Path(directory) / f"{digest}.body").write_bytes(payload)
-    (Path(directory) / f"{digest}.meta.json").write_text(
-        json.dumps({"key": key, "fetched_at": fetched_at}, sort_keys=True), encoding="utf-8"
-    )
-
-
-def write_per_file_cache_entry(directory, key, fetched_at, payload):
-    """Cache one response as the ``<sha256>.entry`` file that earlier versions wrote."""
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    header = json.dumps({"fetched_at": fetched_at, "key": key}, sort_keys=True)
-    (Path(directory) / f"{digest}.entry").write_bytes(header.encode("ascii") + b"\n" + payload)
 
 
 def read_pack(path):

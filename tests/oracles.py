@@ -73,6 +73,16 @@ def direct_structure_metrics(edges: dict[tuple[str, str], int]) -> tuple[float, 
     return det, deg, n
 
 
+def summed_rows(rows) -> list[tuple[str, str, int]]:
+    """``(u, v, w)`` rows in any order and direction, summed per pair, each
+    with ``u < v``, sorted: the one form ``effective_information`` takes."""
+    summed: dict[tuple[str, str], int] = {}
+    for u, v, w in rows:
+        key = (min(u, v), max(u, v))
+        summed[key] = summed.get(key, 0) + w
+    return [(u, v, w) for (u, v), w in sorted(summed.items())]
+
+
 def direct_networks(posts, members_by_project):
     """Per project: (node set, {(u, v): weight} with u < v), rescanning every post.
 

@@ -26,6 +26,7 @@ from oracles import (
     ols_normal_equations,
     parse_talk_page,
     posts_to_records,
+    summed_rows,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,15 +52,15 @@ def random_graph(rng: random.Random) -> Edges:
     names = [f"v{i}" for i in range(n)]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
     count = rng.randint(1, len(pairs))
-    return [(u, v, rng.randint(1, 10)) for u, v in rng.sample(pairs, count)]
+    return summed_rows((u, v, rng.randint(1, 10)) for u, v in rng.sample(pairs, count))
 
 
 def ring(n: int) -> Edges:
-    return [(f"n{i}", f"n{(i + 1) % n}", 1) for i in range(n)]
+    return summed_rows((f"n{i}", f"n{(i + 1) % n}", 1) for i in range(n))
 
 
 def star(n: int) -> Edges:
-    return [("hub", f"leaf{i}", 1) for i in range(n - 1)]
+    return summed_rows(("hub", f"leaf{i}", 1) for i in range(n - 1))
 
 
 def test_metric_oracle_equivalence_on_200_random_graphs():

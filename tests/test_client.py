@@ -4,7 +4,6 @@ import errno
 import json
 import os
 import re
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,6 @@ from fakes import (
     RoutingSession,
     ScriptSession,
     page_response,
-    write_legacy_cache_entry,
 )
 
 
@@ -194,18 +192,6 @@ class TestCache:
         assert missed is None
         assert opened_by_get == []
         assert opened == [(str(pack), "ab")]
-
-    def test_legacy_two_file_entry_is_read_and_left_untouched(self, tmp_path):
-        directory = tmp_path / "c"
-        directory.mkdir()
-        write_legacy_cache_entry(directory, "key", "2021-02-01T12:30:00+00:00", b"old\npayload")
-        before = {p.name: p.read_bytes() for p in directory.iterdir()}
-        cache = ResponseCache(directory)
-        entry = cache.get("key")
-        assert entry.payload == b"old\npayload"
-        assert entry.fetched_at == datetime(2021, 2, 1, 12, 30, tzinfo=timezone.utc)
-        assert cache.put("key", b"new") == entry
-        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
     def test_immutable_once_written(self, tmp_path):
         cache = ResponseCache(tmp_path / "c")
@@ -482,13 +468,14 @@ class TestOnlyAnswersAreCached:
     def test_cached_entry_that_is_no_answer_fails(self, tmp_path, payload):
         config = make_config(tmp_path)
         params = dict(PAGE_QUERY, titles="User talk:A")
-        Path(config.cache_dir).mkdir()
-        write_legacy_cache_entry(config.cache_dir, canonical_request(config.api_base_url, params),
-                                 "2021-02-01T12:30:00+00:00", payload)
+        key = canonical_request(config.api_base_url, params)
+        ResponseCache(config.cache_dir).put(key, payload)
+        [pack] = Path(config.cache_dir).iterdir()
         session = ScriptSession([])
         client = MediaWikiClient(config, session=session)
-        with pytest.raises(DataError, match="User talk:A"):
+        with pytest.raises(DataError, match="User talk:A") as excinfo:
             list(client.fetch_user_talk_pages(["A"]))
+        assert f"deleting {pack} makes its answers get fetched again" in str(excinfo.value)
         assert session.calls == []
 
 

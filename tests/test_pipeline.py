@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -28,8 +29,6 @@ from wikicomm.pipeline import (
 from fakes import (
     RoutingSession,
     read_pack,
-    write_legacy_cache_entry,
-    write_per_file_cache_entry,
 )
 from oracles import reference_posts_jsonl, reference_project_members
 from test_wikitext import wikitexts
@@ -263,7 +262,7 @@ class TestGoldenRun:
         ]
 
     def test_build_on_work_dir_without_interactions_fails_untouched(self, tmp_path):
-        # A work dir parsed by an older version has posts.jsonl but no interactions.tsv.
+        # As when build runs before parse.
         config = miniwiki_config(tmp_path)
         seed_workdir(config)
         for stage in ["ingest", "parse", "build"]:
@@ -859,17 +858,6 @@ class TestParallelParse:
         with pytest.raises(PipelineStageError, match=r"'parse'.*line 61: 'utf-8' codec"):
             parse_on(IN_PROCESS, config, monkeypatch)
 
-    def test_parse_removes_posts_jsonl_of_older_versions(self, tmp_path, monkeypatch):
-        config = miniwiki_config(tmp_path)
-        out = seed_workdir(config)
-        for name in ("posts.jsonl", "posts.jsonl.tmp"):
-            (out / name).write_text('{"author": "Stale", "page_owner": "Gone"}\n')
-        parse_on(POOLED, config, monkeypatch)
-        assert not (out / "posts.jsonl").exists()
-        assert not (out / "posts.jsonl.tmp").exists()
-        talk = load_jsonl(MINIWIKI / "talk_pages.jsonl")
-        assert parse_outputs(config)[1].decode() == reference_interactions(config, talk)
-
     def test_importing_wikicomm_loads_no_process_pool(self):
         code = (
             "import sys, wikicomm.cli; "
@@ -999,33 +987,40 @@ class TestMockedIngestRun:
         assert pack.read_bytes() == cached
         assert not list(Path(config.output_dir).rglob("*.tmp"))
 
-    def replay_older_layout(self, tmp_path, write_entry):
-        """Crawl, rewrite the cache with ``write_entry`` per answer, replay it offline."""
+    def test_cache_of_only_pre_pack_files_reads_as_empty(self, tmp_path):
+        # Before packs, a cache held a <sha256>.entry per answer (a header line
+        # without a size, then the payload), and before that a <sha256>.body
+        # beside a <sha256>.meta.json. Such files are ignored and left as they are.
         config = self.make_config(tmp_path)
         session = RoutingSession(MiniwikiApi())
         stage_ingest(config, MediaWikiClient(config, session=session, sleep=lambda s: None))
-        cold = {name: (Path(config.output_dir) / name).read_bytes() for name in INGEST_OUTPUTS}
-        [pack] = Path(config.cache_dir).iterdir()
-        for header, payload in read_pack(pack):
-            write_entry(config.cache_dir, header["key"], header["fetched_at"], payload)
+        cache = Path(config.cache_dir)
+        [pack] = cache.iterdir()
+        (first, first_payload), (second, second_payload) = read_pack(pack)[:2]
         pack.unlink()
-        before = sorted(p.name for p in Path(config.cache_dir).iterdir())
-        assert len(before) >= len(session.calls)
+
+        def stem(header):
+            return hashlib.sha256(header["key"].encode("utf-8")).hexdigest()
+
+        def sizeless(header):
+            return json.dumps({"fetched_at": header["fetched_at"], "key": header["key"]},
+                              sort_keys=True)
+
+        (cache / f"{stem(first)}.entry").write_bytes(
+            sizeless(first).encode("ascii") + b"\n" + first_payload
+        )
+        (cache / f"{stem(second)}.body").write_bytes(second_payload)
+        (cache / f"{stem(second)}.meta.json").write_text(sizeless(second))
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
 
         config.output_dir = str(tmp_path / "replay")
         config.offline = True
         broken = RoutingSession(lambda params: (_ for _ in ()).throw(AssertionError("network")))
-        stage_ingest(config, MediaWikiClient(config, session=broken))
+        title = json.loads(first["key"])["params"]["titles"]
+        with pytest.raises(FetchExhaustedError, match=f"not cached: {re.escape(title)}$"):
+            stage_ingest(config, MediaWikiClient(config, session=broken))
         assert broken.calls == []
-        for name, payload in cold.items():
-            assert (Path(config.output_dir) / name).read_bytes() == payload
-        assert sorted(p.name for p in Path(config.cache_dir).iterdir()) == before
-
-    def test_offline_ingest_replays_a_two_file_cache(self, tmp_path):
-        self.replay_older_layout(tmp_path, write_legacy_cache_entry)
-
-    def test_offline_ingest_replays_a_per_file_cache(self, tmp_path):
-        self.replay_older_layout(tmp_path, write_per_file_cache_entry)
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
 
     def test_interrupted_crawl_resumes_into_a_second_pack(self, tmp_path):
         whole = self.make_config(tmp_path / "whole")
