@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import errno
+import hashlib
 import json
 import os
 import re
@@ -192,6 +193,30 @@ class TestCache:
         assert missed is None
         assert opened_by_get == []
         assert opened == [(str(pack), "ab")]
+
+    def test_pre_pack_files_are_ignored_and_kept(self, tmp_path):
+        # Before packs, an answer was a <sha256>.entry (a header line without
+        # a size, then the payload), and before that a <sha256>.body beside a
+        # <sha256>.meta.json. The cache reads neither and never touches them.
+        directory = tmp_path / "c"
+        kept = ResponseCache(directory).put("packed", b"packed")
+        for key, suffixes in [("entry", [".entry"]), ("pair", [".body", ".meta.json"])]:
+            stem = hashlib.sha256(key.encode("utf-8")).hexdigest()
+            header = json.dumps({"fetched_at": "2021-02-01T12:30:00+00:00", "key": key},
+                                sort_keys=True)
+            files = {".entry": header.encode("ascii") + b"\nold", ".body": b"old",
+                     ".meta.json": header.encode("ascii")}
+            for suffix in suffixes:
+                (directory / f"{stem}{suffix}").write_bytes(files[suffix])
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        cache = ResponseCache(directory)
+        assert cache.get("packed") == kept
+        assert cache.get("entry") is None
+        assert cache.get("pair") is None
+        assert cache.put("entry", b"new").payload == b"new"
+        assert ResponseCache(directory).get("entry").payload == b"new"
+        for name, data in before.items():
+            assert (directory / name).read_bytes() == data
 
     def test_immutable_once_written(self, tmp_path):
         cache = ResponseCache(tmp_path / "c")
@@ -477,6 +502,26 @@ class TestOnlyAnswersAreCached:
             list(client.fetch_user_talk_pages(["A"]))
         assert f"deleting {pack} makes its answers get fetched again" in str(excinfo.value)
         assert session.calls == []
+
+    def test_deleting_the_named_pack_refetches_its_answers(self, tmp_path):
+        # The advice of the error above, followed: the next run fetches the
+        # answer again and caches it in a new pack.
+        config = make_config(tmp_path)
+        key = canonical_request(config.api_base_url, dict(PAGE_QUERY, titles="User talk:A"))
+        ResponseCache(config.cache_dir).put(key, PROXY_PAGE)
+        client = MediaWikiClient(config, session=ScriptSession([]))
+        with pytest.raises(DataError) as excinfo:
+            list(client.fetch_user_talk_pages(["A"]))
+        named = re.search(r"deleting (.+) makes its answers", str(excinfo.value)).group(1)
+        Path(named).unlink()
+        body = page_response("User talk:A", "x")
+        session = ScriptSession([(200, body)])
+        client = MediaWikiClient(config, session=session, sleep=lambda s: None)
+        assert list(client.fetch_user_talk_pages(["A"])) == [
+            {"title": "User talk:A", "wikitext": "x"}
+        ]
+        assert len(session.calls) == 1
+        assert json.loads(ResponseCache(config.cache_dir).get(key).payload) == body
 
 
 # Answers whose pages are not where formatversion 2 puts them.

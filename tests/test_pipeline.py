@@ -468,6 +468,20 @@ def test_metrics_filters_projects(tmp_path, projects, min_active_nodes, expected
         )
 
 
+
+def test_metrics_names_the_line_of_a_hand_edited_network(tmp_path):
+    # A network whose rows are not each pair once, u < v and sorted is
+    # refused at the first row out of that form, not summed again.
+    write_metrics_workdir(tmp_path, [("Ok", 5, 2)])
+    (tmp_path / "networks" / "Ok.edges").write_text(
+        "Ok1\thub\t1\nOk2\thub\t2\nhub\tOk3\t3\nOk4\thub\t4\nspectator\t0\n"
+    )
+    with pytest.raises(
+        PipelineStageError, match=r"^stage 'metrics' failed: line 3: edge row has u > v: "
+    ):
+        run_stage("metrics", PipelineConfig(output_dir=str(tmp_path)))
+    assert not (tmp_path / "variables.csv").exists()
+
 # -- parse on one CPU and on a worker pool -----------------------------------
 
 POOLED = {0, 1}  # two CPUs: the parse runs on a pool of two worker processes
