@@ -33,11 +33,11 @@ from . import __version__
 from .client import MediaWikiClient
 from .config import ConfigError, PipelineConfig, normalize_project_name
 from .wikitext import (
-    TalkPage,
     canonical_username,
     count_interactions,
     extract_project_members,
     read_pages_jsonl,
+    talk_page_owner,
 )
 
 __all__ = ["PipelineStageError", "STAGES", "run_stage", "run_pipeline"]
@@ -344,16 +344,15 @@ def _parse_talk_chunk(
     skipped = []
     for record in _chunk_records(chunk, ("title", "wikitext")):
         try:
-            page = TalkPage.from_page(record["title"], record["wikitext"])
+            owner = talk_page_owner(record["title"])
         except ValueError as exc:
             skipped.append(str(exc))
             continue
-        posts, mass, counts = count_interactions(page, agents, markers)
+        posts, mass, counts = count_interactions(owner, record["wikitext"], agents, markers)
         n_pages += 1
         n_posts += posts
         n_mass += mass
         n_self += posts - mass - sum(counts.values())
-        owner = page.owner
         interactions.extend(f"{author}\t{owner}\t{n}\n" for author, n in counts.items())
     return "".join(interactions), n_pages, n_posts, n_mass, n_self, skipped
 
@@ -492,10 +491,9 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
     """Compute N_Q and Q_p per configured project from the assessment dump.
 
     One pass over the rows keeps, per project, the best grade rank of each
-    article; the per-project counts come from that dict alone.
+    article (FA 2, GA 1, any other 0); the per-project counts come from that
+    dict alone.
     """
-    from .quality import GRADE_RANK, Grade
-
     out = _out(config)
     wanted = set(config.canonical_projects())
     # Rows far outnumber the distinct raw spellings of project names, so each
@@ -504,7 +502,7 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
     names: dict[str, Optional[str]] = {}
     best: dict[str, dict[str, int]] = defaultdict(dict)
     with open(out / "assessments.csv", encoding="utf-8") as f:
-        for raw, article, grade in read_assessments_csv(f):
+        for raw, article, rank in read_assessments_csv(f):
             if raw in names:
                 project = names[raw]
             else:
@@ -518,19 +516,17 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
                 continue
             if wanted and project not in wanted:
                 continue
-            rank = GRADE_RANK[grade]
             articles = best[project]
             if articles.get(article, -1) < rank:
                 articles[article] = rank
 
-    fa, ga = GRADE_RANK[Grade.FA], GRADE_RANK[Grade.GA]
     counts = {}
     rows = []
     fa_counts = []
     ga_counts = []
     for project in sorted(best):
         ranks = list(best[project].values())
-        n_fa, n_ga = ranks.count(fa), ranks.count(ga)
+        n_fa, n_ga = ranks.count(2), ranks.count(1)
         n_articles, n_quality = len(ranks), n_fa + n_ga
         counts[project] = (n_articles, n_quality)
         rows.append(

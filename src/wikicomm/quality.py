@@ -4,18 +4,16 @@ A project's raw quality output is the number of its Featured and Good
 Articles. Because project scopes differ by orders of magnitude, the score
 family Q_p divides that count by scope^p for p in [0, 1]; p = 1/2 (divide
 by the square root of scope) is the variance-stabilizing middle case used
-downstream.
+downstream. Only whether an article is FA or GA matters, so the reader
+hands on each grade as a rank: FA 2, GA 1, any other grade 0.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 from typing import IO, Iterable, Iterator
 
 __all__ = [
-    "Grade",
-    "GRADE_RANK",
     "q_score",
     "read_assessments_csv",
     "write_quality_csv",
@@ -31,23 +29,9 @@ _NON_MAIN_NAMESPACES = {
 }
 
 
-class Grade(enum.Enum):
-    FA = "FA"
-    GA = "GA"
-    OTHER = "Other"
-
-    @classmethod
-    def parse(cls, raw: str) -> "Grade":
-        norm = raw.strip().upper()
-        if norm == "FA":
-            return cls.FA
-        if norm == "GA":
-            return cls.GA
-        return cls.OTHER
-
-
-# A (project, article) assessed several times counts once, at its highest rank.
-GRADE_RANK = {Grade.FA: 2, Grade.GA: 1, Grade.OTHER: 0}
+# Normalized grade -> rank. A (project, article) assessed several times
+# counts once, at its highest rank.
+_RANKS = {"FA": 2, "GA": 1}
 
 
 def is_main_namespace(title: str) -> bool:
@@ -74,14 +58,15 @@ def q_score(n_quality: int, n_articles: int, p: float = 0.5) -> float:
     return n_quality / n_articles**p
 
 
-def read_assessments_csv(source: IO[str]) -> Iterator[tuple[str, str, Grade]]:
-    """Stream ``(project, article, grade)`` from ``project,article,grade`` rows.
+def read_assessments_csv(source: IO[str]) -> Iterator[tuple[str, str, int]]:
+    """Stream ``(project, article, rank)`` from ``project,article,grade`` rows.
 
-    Grades are case-insensitive. Titles with a recognized non-main namespace
-    prefix are skipped (project scope covers encyclopedia articles only);
-    titles without namespace information pass through. The columns may come
-    in any order and among others; blank lines are skipped. The header is
-    checked by this call, the rows as they are read.
+    A grade's rank is 2 for FA, 1 for GA and 0 for any other grade, compared
+    after stripping and upper-casing it. Titles with a recognized non-main
+    namespace prefix are skipped (project scope covers encyclopedia articles
+    only); titles without namespace information pass through. The columns
+    may come in any order and among others; blank lines are skipped. The
+    header is checked by this call, the rows as they are read.
 
     Raises:
         ValueError: if a required column is missing from the header or a row.
@@ -98,8 +83,9 @@ def read_assessments_csv(source: IO[str]) -> Iterator[tuple[str, str, Grade]]:
 
 def _assessment_rows(
     reader, project_at: int, article_at: int, grade_at: int
-) -> Iterator[tuple[str, str, Grade]]:
-    grades: dict[str, Grade] = {}
+) -> Iterator[tuple[str, str, int]]:
+    # Rows far outnumber the distinct raw spellings of grades.
+    ranks: dict[str, int] = {}
     for row in reader:
         if not row:
             continue
@@ -112,10 +98,10 @@ def _assessment_rows(
         # A title without a colon carries no namespace prefix.
         if ":" in article and not is_main_namespace(article):
             continue
-        grade = grades.get(raw_grade)
-        if grade is None:
-            grade = grades[raw_grade] = Grade.parse(raw_grade)
-        yield project, article, grade
+        rank = ranks.get(raw_grade)
+        if rank is None:
+            rank = ranks[raw_grade] = _RANKS.get(raw_grade.strip().upper(), 0)
+        yield project, article, rank
 
 
 def write_quality_csv(rows: Iterable[tuple[str, int, int, float]], out: IO[str]) -> None:

@@ -3,10 +3,15 @@
 Talk pages are segmented into discussion threads at level-2 headings, and
 threads into posts at signature occurrences. A signature is a link into the
 User or User-talk namespace followed, on the same line, by a timestamp of
-the default MediaWiki form ``HH:MM, D Month YYYY (UTC)``. Customized
-signatures lacking a user-namespace link are missed; that recall limitation
-is accepted. Parsing never raises on malformed wikitext; bad input degrades
-to fewer, larger threads or to unattributed (dropped) text.
+the default MediaWiki form ``HH:MM, D Month YYYY (UTC)`` that names a real
+minute. Customized signatures lacking a user-namespace link are missed;
+that recall limitation is accepted. Parsing never raises on malformed
+wikitext; bad input degrades to fewer, larger threads or to unattributed
+(dropped) text.
+
+The parser hands on plain values: a talk page's owner is a name
+(:func:`talk_page_owner`), and a signature is its author and where it ends.
+A timestamp is checked, never built: what it says is not used downstream.
 """
 
 from __future__ import annotations
@@ -14,17 +19,16 @@ from __future__ import annotations
 import json
 import logging
 import re
+import time
 from bisect import bisect_left
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Collection, Iterable, Iterator, Sequence
 
 __all__ = [
-    "TalkPage",
     "canonical_username",
     "count_interactions",
     "extract_project_members",
     "read_pages_jsonl",
+    "talk_page_owner",
     "DEFAULT_DELIVERY_AGENTS",
     "DEFAULT_MASS_MESSAGE_MARKERS",
 ]
@@ -43,12 +47,14 @@ _USER_LINK_RE = re.compile(
     r"\[\[\s*[Uu]ser(?:[ _][Tt]alk)?\s*:\s*([^|\[\]#/]+)(?:[|#/][^\[\]]*)?\]\]",
     re.IGNORECASE,
 )
+# Month name -> (number, days); February gains a day in leap years.
 _MONTHS = {
-    name: i
-    for i, name in enumerate(
+    name: (i, days)
+    for i, (name, days) in enumerate(
         (
-            "January", "February", "March", "April", "May", "June",
-            "July", "August", "September", "October", "November", "December",
+            ("January", 31), ("February", 28), ("March", 31), ("April", 30),
+            ("May", 31), ("June", 30), ("July", 31), ("August", 31),
+            ("September", 30), ("October", 31), ("November", 30), ("December", 31),
         ),
         start=1,
     )
@@ -81,25 +87,18 @@ def canonical_username(raw: str) -> str:
     return name[0].upper() + name[1:]
 
 
-@dataclass(frozen=True)
-class TalkPage:
-    """A user talk page; ``owner`` is derived from the title prefix."""
+def talk_page_owner(title: str) -> str:
+    """The canonical username of the user whose talk page (or subpage) ``title`` is.
 
-    owner: str
-    wikitext: str
-
-    @classmethod
-    def from_page(cls, title: str, wikitext: str) -> "TalkPage":
-        """Build from a raw page record, deriving the owner from the title.
-
-        Raises:
-            ValueError: if the title is not in the User-talk namespace.
-        """
-        m = _TALK_TITLE_RE.match(title)
-        if not m:
-            raise ValueError(f"not a user talk page title: {title!r}")
-        owner = canonical_username(m.group(1).split("/", 1)[0])
-        return cls(owner=owner, wikitext=wikitext)
+    Raises:
+        ValueError: if the title is not in the User-talk namespace, or its
+            user part normalizes to an empty name.
+    """
+    m = _TALK_TITLE_RE.match(title)
+    owner = canonical_username(m.group(1).split("/", 1)[0]) if m else ""
+    if not owner:
+        raise ValueError(f"not a user talk page title: {title!r}")
+    return owner
 
 
 def _timestamp_matches(text: str) -> Iterator[re.Match]:
@@ -118,12 +117,11 @@ def _timestamp_matches(text: str) -> Iterator[re.Match]:
             yield ts_match
 
 
-def _iter_signatures(
-    text: str, skip_headings: bool = False
-) -> Iterator[tuple[str, datetime, int]]:
-    """Yield ``(author, timestamp, end)`` for each valid signature occurrence.
+def _iter_signatures(text: str, skip_headings: bool = False) -> Iterator[tuple[str, int]]:
+    """Yield ``(author, end)`` for each valid signature occurrence.
 
-    A valid occurrence is a timestamp with at least one user-namespace link
+    A valid occurrence is a timestamp of a real UTC minute (years 1 to
+    9999, the Gregorian calendar) with at least one user-namespace link
     earlier on the same line; the last such link names the author (copes
     with trailing "(talk)" links and pings). ``end`` is where the timestamp
     match ends. With ``skip_headings``, a timestamp on a level-2 heading
@@ -134,7 +132,7 @@ def _iter_signatures(
     ``[[`` where the link pattern matches. The scan walks ``[[`` positions
     leftwards from the timestamp and stops at the first match.
     """
-    this_year = datetime.now(timezone.utc).year
+    this_year = time.gmtime().tm_year
     for ts_match in _timestamp_matches(text):
         ts_start = ts_match.start()
         line_start = text.rfind("\n", 0, ts_start) + 1
@@ -157,14 +155,18 @@ def _iter_signatures(
         if not user:
             continue
         hour, minute, day, month_name, year = ts_match.groups()
-        year, month, day = int(year), _MONTHS[month_name], int(day)
-        try:
-            ts = datetime(year, month, day, int(hour), int(minute), tzinfo=timezone.utc)
-        except ValueError:
+        hour, minute, day, year = int(hour), int(minute), int(day), int(year)
+        month, days = _MONTHS[month_name]
+        if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
+            days = 29
+        if not (hour < 24 and minute < 60 and 1 <= day <= days and year >= 1):
             continue
         if year > this_year or (year, month, day) < _EARLIEST_PLAUSIBLE:
-            log.warning("timestamp outside plausible range kept: %s", ts.isoformat())
-        yield user, ts, ts_match.end()
+            log.warning(
+                "timestamp outside plausible range kept: %04d-%02d-%02dT%02d:%02d:00+00:00",
+                year, month, day, hour, minute,
+            )
+        yield user, ts_match.end()
 
 
 def _thread_spans(text: str) -> list[tuple[str, int, int]]:
@@ -183,8 +185,8 @@ def _thread_spans(text: str) -> list[tuple[str, int, int]]:
 
 
 def _signed_threads(
-    text: str, signatures: Iterable[tuple[str, datetime, int]]
-) -> list[tuple[str, int, int, list[tuple[str, datetime, int]]]]:
+    text: str, signatures: Iterable[tuple[str, int]]
+) -> list[tuple[str, int, int, list[tuple[str, int]]]]:
     """``(heading, body start, body end, signatures)`` per thread of a talk page.
 
     ``signatures`` are those of ``_iter_signatures(text, skip_headings=True)``,
@@ -197,7 +199,7 @@ def _signed_threads(
     starts = [start for _, start, _ in spans]
     threads = [(heading, start, end, []) for heading, start, end in spans]
     for signature in signatures:
-        threads[bisect_left(starts, signature[2]) - 1][3].append(signature)
+        threads[bisect_left(starts, signature[1]) - 1][3].append(signature)
     return threads
 
 
@@ -214,34 +216,33 @@ def _is_mass_message(
 
 
 def count_interactions(
-    page: TalkPage, agents: Collection[str], markers: Sequence[str]
+    owner: str, text: str, agents: Collection[str], markers: Sequence[str]
 ) -> tuple[int, int, dict[str, int]]:
-    """Count a talk page's posts, building none.
+    """Count the posts of ``owner``'s talk page, whose wikitext is ``text``, building none.
 
     A post is a signature outside the page's level-2 heading lines, and it
-    belongs to the thread whose body holds it. ``agents`` are the delivery agents' canonical usernames. Returns the
-    number of posts, the number of those in mass-message threads, and, per
-    author other than the page owner in order of first post, the number of
-    their posts outside mass-message threads.
+    belongs to the thread whose body holds it. ``agents`` are the delivery
+    agents' canonical usernames. Returns the number of posts, the number of
+    those in mass-message threads, and, per author other than the page owner
+    in order of first post, the number of their posts outside mass-message
+    threads.
 
     Only a thread holding a marker or an agent's signature is a mass
     message, so the page is split into threads only when its text holds a
     marker or an agent signed it; otherwise every post counts.
     """
-    text = page.wikitext
     signatures = list(_iter_signatures(text, skip_headings=True))
     kept = signatures
     if any(marker in text for marker in markers) or any(
-        author in agents for author, _, _ in signatures
+        author in agents for author, _ in signatures
     ):
         kept = []
         for _, start, end, signed in _signed_threads(text, signatures):
-            authors = [author for author, _, _ in signed]
+            authors = [author for author, _ in signed]
             if not _is_mass_message(authors, text[start:end], agents, markers):
                 kept.extend(signed)
-    owner = page.owner
     counts: dict[str, int] = {}
-    for author, _, _ in kept:
+    for author, _ in kept:
         if author != owner:
             counts[author] = counts.get(author, 0) + 1
     return len(signatures), len(signatures) - len(kept), counts
@@ -268,7 +269,7 @@ def extract_project_members(project_pages: Iterable[tuple[str, str]]) -> set[str
     for title, wikitext in project_pages:
         if _is_talk_title(title):
             raise ValueError(f"talk page passed to member extraction: {title!r}")
-        for author, _, _ in _iter_signatures(wikitext):
+        for author, _ in _iter_signatures(wikitext):
             members.add(author)
     return members
 

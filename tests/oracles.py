@@ -14,7 +14,10 @@ deduplicated and then counted one project at a time.
 One section is not a reference: the post-level view of the package's own
 parser (``parse_talk_page`` and its parts), built from the package's
 signature scan and thread split, so that its posts can be compared one by
-one with the first parser's and with the annotated corpus.
+one with the first parser's and with the annotated corpus. The package's
+scan gives only each signature's author and end; the view rebuilds the
+post's timestamp here, from the timestamp that ends there, with this
+module's own regex and ``datetime``.
 """
 
 from __future__ import annotations
@@ -129,6 +132,18 @@ def _ref_canonical(raw: str) -> str:
     return name[0].upper() + name[1:] if name else ""
 
 
+def _ref_timestamp(ts_match) -> Optional[datetime]:
+    """The UTC time a ``_REF_TIMESTAMP_RE`` match names, or None for an impossible date."""
+    try:
+        return datetime(
+            int(ts_match.group(5)), _REF_MONTHS[ts_match.group(4)],
+            int(ts_match.group(3)), int(ts_match.group(1)), int(ts_match.group(2)),
+            tzinfo=timezone.utc,
+        )
+    except ValueError:
+        return None
+
+
 def _ref_signatures(text: str):
     """(author, datetime, end) per signature: every link in the line prefix, last wins."""
     for ts_match in _REF_TIMESTAMP_RE.finditer(text):
@@ -136,17 +151,9 @@ def _ref_signatures(text: str):
         user = None
         for link in _REF_USER_LINK_RE.finditer(text[line_start : ts_match.start()]):
             user = _ref_canonical(link.group(1))
-        if not user:
-            continue
-        try:
-            ts = datetime(
-                int(ts_match.group(5)), _REF_MONTHS[ts_match.group(4)],
-                int(ts_match.group(3)), int(ts_match.group(1)), int(ts_match.group(2)),
-                tzinfo=timezone.utc,
-            )
-        except ValueError:
-            continue
-        yield user, ts, ts_match.end()
+        ts = _ref_timestamp(ts_match)
+        if user and ts is not None:
+            yield user, ts, ts_match.end()
 
 
 def _ref_posts(body: str):
@@ -227,16 +234,30 @@ class DiscussionThread:
     is_mass_message: bool = False
 
 
+def _timestamps(text: str) -> dict[int, datetime]:
+    """The time each timestamp in ``text`` names, by where it ends.
+
+    A signature of the package's scan ends where its timestamp ends; one
+    that it keeps with an impossible date has no entry here.
+    """
+    stamps = {}
+    for ts_match in _REF_TIMESTAMP_RE.finditer(text):
+        ts = _ref_timestamp(ts_match)
+        if ts is not None:
+            stamps[ts_match.end()] = ts
+    return stamps
+
+
 def parse_signature(segment: str) -> Optional[Signature]:
     """The first signature in ``segment``, or None if there is none."""
     from wikicomm.wikitext import _iter_signatures
 
-    for user, timestamp, _ in _iter_signatures(segment):
-        return Signature(user=user, timestamp=timestamp)
+    for user, end in _iter_signatures(segment):
+        return Signature(user=user, timestamp=_timestamps(segment)[end])
     return None
 
 
-def split_threads(page) -> list[DiscussionThread]:
+def split_threads(text: str) -> list[DiscussionThread]:
     """A talk page's level-2 threads, without posts.
 
     Content before the first heading forms an implicit thread with an empty
@@ -245,7 +266,6 @@ def split_threads(page) -> list[DiscussionThread]:
     """
     from wikicomm.wikitext import _signed_threads
 
-    text = page.wikitext
     return [
         DiscussionThread(heading, text[start:end])
         for heading, start, end, _ in _signed_threads(text, ())
@@ -266,14 +286,17 @@ def _first_content_line(text: str, start: int, end: int) -> str:
     return ""
 
 
-def _posts(text: str, cursor: int, signatures) -> list[Post]:
-    """The posts that ``signatures`` end, the first of them starting at ``cursor``."""
+def _posts(text: str, cursor: int, signatures, stamps: dict[int, datetime]) -> list[Post]:
+    """The posts that ``signatures`` end, the first of them starting at ``cursor``.
+
+    ``stamps`` are the :func:`_timestamps` of ``text``.
+    """
     posts: list[Post] = []
-    for author, timestamp, end in signatures:
+    for author, end in signatures:
         first = _first_content_line(text, cursor, end)
         content = first.lstrip(":*")
         posts.append(
-            Post(author, timestamp, len(first) - len(content), content.lstrip().startswith("{{"))
+            Post(author, stamps[end], len(first) - len(content), content.lstrip().startswith("{{"))
         )
         cursor = end
     return posts
@@ -288,7 +311,7 @@ def extract_posts(body: str) -> list[Post]:
     """
     from wikicomm.wikitext import _iter_signatures
 
-    return _posts(body, 0, _iter_signatures(body))
+    return _posts(body, 0, _iter_signatures(body), _timestamps(body))
 
 
 def is_mass_message(
@@ -308,22 +331,22 @@ def is_mass_message(
     )
 
 
-def parse_talk_page(page) -> list[DiscussionThread]:
+def parse_talk_page(text: str) -> list[DiscussionThread]:
     """A talk page's threads with their posts and mass-message flags, default lists."""
     from wikicomm.wikitext import _iter_signatures, _signed_threads
 
-    text = page.wikitext
+    stamps = _timestamps(text)
     threads = []
     for heading, start, end, signed in _signed_threads(
         text, _iter_signatures(text, skip_headings=True)
     ):
-        thread = DiscussionThread(heading, text[start:end], _posts(text, start, signed))
+        thread = DiscussionThread(heading, text[start:end], _posts(text, start, signed, stamps))
         thread.is_mass_message = is_mass_message(thread)
         threads.append(thread)
     return threads
 
 
-def posts_to_records(page, threads) -> list[dict]:
+def posts_to_records(owner: str, threads) -> list[dict]:
     """Flatten :func:`parse_talk_page` threads into post records.
 
     The records are what the first parser wrote to ``posts.jsonl``, so the
@@ -338,7 +361,7 @@ def posts_to_records(page, threads) -> list[dict]:
             ts = post.timestamp
             records.append(
                 {
-                    "page_owner": page.owner,
+                    "page_owner": owner,
                     "thread": thread.heading,
                     "author": post.author,
                     "timestamp": "%d-%02d-%02dT%02d:%02d:%02dZ"
@@ -472,10 +495,16 @@ def ks_statistic_uniform(sample) -> float:
     return d
 
 
-# One assessment row; ``grade`` is a ``wikicomm.quality.Grade``, ordered here
-# by its value rather than by the library's rank table.
+# One assessment row; ``grade`` is the raw spelling from the CSV, which is
+# normalized here rather than by the library.
 Assessment = namedtuple("Assessment", "project article grade")
 _GRADE_ORDER = ("Other", "GA", "FA")
+
+
+def _grade(raw: str) -> str:
+    """A raw grade as compared: stripped and upper-cased, "Other" unless FA or GA."""
+    grade = raw.strip().upper()
+    return grade if grade in ("FA", "GA") else "Other"
 
 
 def dedupe_assessments(records) -> list:
@@ -484,8 +513,8 @@ def dedupe_assessments(records) -> list:
     for record in records:
         key = (record.project, record.article)
         kept = best.get(key)
-        if kept is None or _GRADE_ORDER.index(record.grade.value) > _GRADE_ORDER.index(
-            kept.grade.value
+        if kept is None or _GRADE_ORDER.index(_grade(record.grade)) > _GRADE_ORDER.index(
+            _grade(kept.grade)
         ):
             best[key] = record
     return list(best.values())
@@ -503,7 +532,7 @@ def count_quality(records) -> tuple[int, int]:
     for record in records:
         projects.add(record.project)
         articles += 1
-        if record.grade.value in ("FA", "GA"):
+        if _grade(record.grade) in ("FA", "GA"):
             quality += 1
     if len(projects) > 1:
         raise ValueError(f"records span multiple projects: {sorted(projects)}")

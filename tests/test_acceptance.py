@@ -19,7 +19,7 @@ from wikicomm.graph import effective_information
 from wikicomm.pipeline import REFERENCE_SNAPSHOT_ANCHORS, STAGE_ORDER, run_stage
 from wikicomm.quality import q_score
 from wikicomm.stats import linear_hypothesis, nested_f_test, ols_fit
-from wikicomm.wikitext import TalkPage
+from wikicomm.wikitext import talk_page_owner
 
 from oracles import (
     direct_structure_metrics,
@@ -122,8 +122,8 @@ def test_parser_golden_corpus():
             expected = [json.loads(line) for line in f if line.strip()]
         extracted = []
         for raw in pages:
-            page = TalkPage.from_page(raw["title"], raw["wikitext"])
-            extracted.extend(posts_to_records(page, parse_talk_page(page)))
+            threads = parse_talk_page(raw["wikitext"])
+            extracted.extend(posts_to_records(talk_page_owner(raw["title"]), threads))
         assert len(expected) >= 30
         assert extracted == expected
 

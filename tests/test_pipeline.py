@@ -779,6 +779,32 @@ class TestParallelParse:
         skips = [m for m in caplog.messages if "skipping non-user-talk record" in m]
         assert skips == ["skipping non-user-talk record: not a user talk page title: 'Talk:Asters'"]
 
+    @ROUTES
+    def test_talk_title_naming_no_user_is_skipped(self, tmp_path, monkeypatch, caplog, cpus):
+        # Each title's user part normalizes to an empty name, so the page has
+        # no owner to count posts against.
+        config = miniwiki_config(tmp_path)
+        out = seed_workdir(config)
+        counts = parse_on(cpus, config, monkeypatch)
+        expected = parse_outputs(config)
+        titles = ["User talk:_", "User talk: /Archive 1", "User talk:/x"]
+        records = load_jsonl(MINIWIKI / "talk_pages.jsonl")
+        for i, title in enumerate(titles):
+            records.insert(20 * i, {
+                "title": title,
+                "wikitext": "== Hi ==\nSigned [[User:Aster01]] 10:00, 1 May 2021 (UTC)\n",
+            })
+        write_jsonl(out / "talk_pages.jsonl", records)
+        with caplog.at_level("WARNING", logger="wikicomm.pipeline"):
+            result = parse_on(cpus, config, monkeypatch)
+        assert result == dict(counts, skipped=3)
+        assert parse_outputs(config) == expected
+        skips = [m for m in caplog.messages if "skipping non-user-talk record" in m]
+        assert skips == [
+            f"skipping non-user-talk record: not a user talk page title: {title!r}"
+            for title in titles
+        ]
+
     def test_one_cpu_parses_in_this_process(self, tmp_path, monkeypatch):
         # Profilers and the benchmark's hooks see the parser only on this route.
         config = miniwiki_config(tmp_path)

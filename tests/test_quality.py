@@ -15,7 +15,6 @@ import wikicomm.pipeline as pipeline
 from wikicomm.config import PipelineConfig
 from wikicomm.pipeline import stage_quality
 from wikicomm.quality import (
-    Grade,
     is_main_namespace,
     q_score,
     read_assessments_csv,
@@ -26,7 +25,7 @@ from oracles import Assessment, count_quality, dedupe_assessments
 
 
 def rec(article: str, grade: str, project: str = "P") -> Assessment:
-    return Assessment(project=project, article=article, grade=Grade.parse(grade))
+    return Assessment(project=project, article=article, grade=grade)
 
 
 def write_assessments(directory: Path, rows) -> None:
@@ -45,14 +44,14 @@ def oracle_counts(records) -> dict[str, tuple[int, int]]:
     return {project: count_quality(by_project[project]) for project in sorted(by_project)}
 
 
-class TestGradeParse:
-    @pytest.mark.parametrize("raw,expected", [
-        ("FA", Grade.FA), ("fa", Grade.FA), (" Ga ", Grade.GA),
-        ("GA", Grade.GA), ("B", Grade.OTHER), ("Start", Grade.OTHER),
-        ("stub", Grade.OTHER), ("", Grade.OTHER), ("A", Grade.OTHER),
-    ])
-    def test_cases(self, raw, expected):
-        assert Grade.parse(raw) is expected
+@pytest.mark.parametrize("raw,rank", [
+    ("FA", 2), ("fa", 2), (" Ga ", 1), ("GA", 1), ("B", 0), ("Start", 0), ("stub", 0), ("", 0),
+    ("A", 0),
+])
+def test_grade_read_as_rank(raw, rank):
+    # The second row reads the rank memoised for the first row's spelling.
+    source = io.StringIO(f"project,article,grade\nP,X,{raw}\nP,Y,{raw}\n")
+    assert list(read_assessments_csv(source)) == [("P", "X", rank), ("P", "Y", rank)]
 
 
 class TestDedupe:
@@ -61,7 +60,7 @@ class TestDedupe:
     def test_highest_grade_wins(self):
         records = [rec("X", "GA"), rec("X", "FA"), rec("X", "Start")]
         deduped = dedupe_assessments(records)
-        assert len(deduped) == 1 and deduped[0].grade is Grade.FA
+        assert len(deduped) == 1 and deduped[0].grade == "FA"
 
     def test_distinct_articles_kept(self):
         assert len(dedupe_assessments([rec("X", "FA"), rec("Y", "FA")])) == 2
@@ -112,7 +111,7 @@ class TestStageMatchesOracle:
     @pytest.mark.parametrize("case", sorted(STAGE_CASES))
     def test_named_cases(self, tmp_path, case):
         records, expected = STAGE_CASES[case]
-        write_assessments(tmp_path, [(r.project, r.article, r.grade.value) for r in records])
+        write_assessments(tmp_path, records)
         counts = stage_quality(PipelineConfig(output_dir=str(tmp_path)))
         assert counts == expected == oracle_counts(records)
 
@@ -145,18 +144,14 @@ class TestStageMatchesOracle:
         "Template:B": False,
         "User_talk:C": False,
     }
-    GRADES = {
-        "FA": Grade.FA, "fa": Grade.FA, "Fa": Grade.FA,
-        "GA": Grade.GA, " Ga ": Grade.GA, "gA": Grade.GA,
-        "B": Grade.OTHER, "Start": Grade.OTHER, "stub": Grade.OTHER, "": Grade.OTHER,
-    }
+    GRADES = ["FA", "fa", "Fa", "GA", " Ga ", "gA", "B", "Start", "stub", ""]
 
     @given(
         rows=st.lists(
             st.tuples(
                 st.sampled_from(sorted(SPELLINGS)),
                 st.sampled_from(sorted(TITLES)),
-                st.sampled_from(sorted(GRADES)),
+                st.sampled_from(GRADES),
             ),
             max_size=40,
         ),
@@ -169,7 +164,7 @@ class TestStageMatchesOracle:
     def test_random_assessments(self, rows, configured, p):
         wanted = {self.SPELLINGS[name] for name in configured}
         records = [
-            Assessment(self.SPELLINGS[raw], article, self.GRADES[grade])
+            Assessment(self.SPELLINGS[raw], article, grade)
             for raw, article, grade in rows
             if self.SPELLINGS[raw] is not None
             and (not wanted or self.SPELLINGS[raw] in wanted)
@@ -271,15 +266,12 @@ class TestCsv:
             "Storms,Talk:Hurricane A,FA\n"
             "Storms,Hurricane B,Start\n"
         )
-        records = list(read_assessments_csv(source))
-        assert len(records) == 3  # talk-page row filtered out
-        deduped = dedupe_assessments(Assessment(*record) for record in records)
-        n_articles, n_quality = count_quality(deduped)
-        assert (n_articles, n_quality) == (2, 1)
+        assert list(read_assessments_csv(source)) == [  # talk-page row filtered out
+            ("Storms", "Hurricane A", 2), ("Storms", "Hurricane A", 1), ("Storms", "Hurricane B", 0)
+        ]
+        # Hurricane A counts once, at FA; Hurricane B is no quality article.
         out = io.StringIO()
-        write_quality_csv(
-            [("Storms", n_articles, n_quality, q_score(n_quality, n_articles, 0.5))], out
-        )
+        write_quality_csv([("Storms", 2, 1, q_score(1, 2, 0.5))], out)
         assert out.getvalue() == (
             "project,n_articles,n_quality,q_score\nStorms,2,1,0.707107\n"
         )
@@ -294,16 +286,16 @@ class TestCsv:
             "fa,bot,Hurricane A,Storms\n"
             "Start,,Talk:Hurricane A,Storms\n"
         )
-        assert list(read_assessments_csv(source)) == [("Storms", "Hurricane A", Grade.FA)]
+        assert list(read_assessments_csv(source)) == [("Storms", "Hurricane A", 2)]
 
     def test_repeated_column_reads_last_occurrence(self):
         source = io.StringIO("project,article,grade,grade\nStorms,A,Start,GA\n")
-        assert list(read_assessments_csv(source)) == [("Storms", "A", Grade.GA)]
+        assert list(read_assessments_csv(source)) == [("Storms", "A", 1)]
 
     def test_blank_lines_skipped(self):
         source = io.StringIO("project,article,grade\n\nStorms,A,FA\n\n\nStorms,B,C\n")
         assert list(read_assessments_csv(source)) == [
-            ("Storms", "A", Grade.FA), ("Storms", "B", Grade.OTHER)
+            ("Storms", "A", 2), ("Storms", "B", 0)
         ]
 
     def test_row_missing_a_required_column(self):
@@ -318,7 +310,7 @@ class TestCsv:
         rows = read_assessments_csv(
             io.StringIO("project,article,grade\nStorms,A,FA\nStorms,B\n")
         )
-        assert next(rows) == ("Storms", "A", Grade.FA)
+        assert next(rows) == ("Storms", "A", 2)
         with pytest.raises(ValueError, match="line 3"):
             next(rows)
 

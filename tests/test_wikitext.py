@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 from collections import Counter
 from datetime import datetime, timezone
@@ -12,13 +13,14 @@ import wikicomm.wikitext as wikitext
 from wikicomm.wikitext import (
     DEFAULT_DELIVERY_AGENTS,
     DEFAULT_MASS_MESSAGE_MARKERS,
-    TalkPage,
     _TIMESTAMP_RE,
+    _iter_signatures,
     _timestamp_matches,
     canonical_username,
     count_interactions,
     extract_project_members,
     read_pages_jsonl,
+    talk_page_owner,
 )
 
 from oracles import (
@@ -104,14 +106,13 @@ class TestParseSignature:
         )
         body_warning = "timestamp outside plausible range kept: 1998-05-02T10:00:00+00:00"
         heading_warning = "timestamp outside plausible range kept: 1999-05-01T10:00:00+00:00"
-        page = TalkPage.from_page("User talk:X", text)
         with caplog.at_level("WARNING", logger="wikicomm.wikitext"):
-            threads = parse_talk_page(page)
+            threads = parse_talk_page(text)
         assert caplog.messages == [body_warning]
         assert [p.author for t in threads for p in t.posts] == ["B"]
         caplog.clear()
         with caplog.at_level("WARNING", logger="wikicomm.wikitext"):
-            counted = count_interactions(page, set(), [])
+            counted = count_interactions("X", text, set(), [])
         assert caplog.messages == [body_warning]
         assert counted == (1, 0, {"B": 1})
         caplog.clear()
@@ -121,48 +122,43 @@ class TestParseSignature:
         assert members == {"A", "B"}
 
 
-class TestTalkPage:
+class TestTalkPageOwner:
     def test_owner_from_title(self):
-        assert TalkPage.from_page("User talk:Alice", "").owner == "Alice"
+        assert talk_page_owner("User talk:Alice") == "Alice"
 
     def test_subpage_stripped(self):
-        assert TalkPage.from_page("User talk:Dan/Archive 1", "").owner == "Dan"
+        assert talk_page_owner("User talk:Dan/Archive 1") == "Dan"
 
     def test_underscored_title(self):
-        assert TalkPage.from_page("User_talk:ivan_petrov", "").owner == "Ivan petrov"
+        assert talk_page_owner("User_talk:ivan_petrov") == "Ivan petrov"
 
-    def test_non_talk_title_rejected(self):
-        with pytest.raises(ValueError):
-            TalkPage.from_page("Wikipedia:WikiProject Foo", "")
+    @pytest.mark.parametrize("title", [
+        "Wikipedia:WikiProject Foo", "User talk:_", "User talk: /Archive 1", "User talk:/x",
+    ])
+    def test_title_naming_no_user_rejected(self, title):
+        with pytest.raises(ValueError, match="^not a user talk page title: "):
+            talk_page_owner(title)
 
 
 class TestSplitThreads:
     def test_two_headings(self):
-        page = TalkPage.from_page(
-            "User talk:X", "== A ==\nbody a\n== B ==\nbody b\n"
-        )
-        threads = split_threads(page)
+        threads = split_threads("== A ==\nbody a\n== B ==\nbody b\n")
         assert [t.heading for t in threads] == ["A", "B"]
 
     def test_no_headings_single_thread(self):
-        page = TalkPage.from_page("User talk:X", "just text, no headings")
-        threads = split_threads(page)
+        threads = split_threads("just text, no headings")
         assert len(threads) == 1 and threads[0].heading == ""
 
     def test_subsection_stays_inside(self):
-        page = TalkPage.from_page(
-            "User talk:X", "== A ==\ntop\n=== A.1 ===\nnested\n"
-        )
-        threads = split_threads(page)
+        threads = split_threads("== A ==\ntop\n=== A.1 ===\nnested\n")
         assert len(threads) == 1
         assert "=== A.1 ===" in threads[0].body
 
     def test_empty_page_has_no_threads(self):
-        assert split_threads(TalkPage.from_page("User talk:X", "")) == []
+        assert split_threads("") == []
 
     def test_preamble_becomes_implicit_thread(self):
-        page = TalkPage.from_page("User talk:X", "hello\n== A ==\nbody\n")
-        threads = split_threads(page)
+        threads = split_threads("hello\n== A ==\nbody\n")
         assert [t.heading for t in threads] == ["", "A"]
 
 
@@ -203,9 +199,8 @@ class TestExtractPosts:
 
 
 def page_jsonl(text: str, title: str = "User talk:X") -> str:
-    page = TalkPage.from_page(title, text)
     out = io.StringIO()
-    write_posts_jsonl(posts_to_records(page, parse_talk_page(page)), out)
+    write_posts_jsonl(posts_to_records(talk_page_owner(title), parse_talk_page(text)), out)
     return out.getvalue()
 
 
@@ -221,7 +216,7 @@ class TestPostRecordEdgeCases:
 
     def test_signature_in_heading_line_yields_no_post(self):
         text = "== Hi [[User:A|A]] 10:00, 1 May 2021 (UTC) ==\nunsigned body\n"
-        threads = parse_talk_page(TalkPage.from_page("User talk:X", text))
+        threads = parse_talk_page(text)
         assert [t.heading for t in threads] == ["Hi [[User:A|A]] 10:00, 1 May 2021 (UTC)"]
         assert threads[0].posts == []
 
@@ -234,6 +229,40 @@ class TestPostRecordEdgeCases:
     def test_invalid_date_skipped_later_signature_on_line_kept(self, invalid):
         posts = extract_posts(f"[[User:A|A]] {invalid} [[User:B|B]] 11:00, 1 May 2021 (UTC)\n")
         assert [(p.author, p.timestamp) for p in posts] == [("B", utc(2021, 5, 1, 11, 0))]
+
+
+def test_date_rule_keeps_exactly_what_datetime_accepts(caplog):
+    # One signature per line over 4 hours x 4 minutes x 34 days x 12 months
+    # x 9 years (58,752 lines): the leap rule's four cases, year 0000, and
+    # the 1..9999 bounds.
+    caplog.set_level("ERROR", logger="wikicomm.wikitext")
+    months = list(wikitext._MONTHS)
+    lines = [
+        (hour, minute, day, month, year)
+        for hour in (0, 23, 24, 99)
+        for minute in (0, 59, 60, 99)
+        for day in [*range(33), 99]
+        for month in range(1, 13)
+        for year in (0, 1, 1600, 1900, 2000, 2001, 2004, 2100, 9999)
+    ]
+    assert len(lines) == 58_752
+    signatures = [
+        f"[[User:A]] {h}:{mi:02d}, {d} {months[m - 1]} {y:04d} (UTC)" for h, mi, d, m, y in lines
+    ]
+    # A signature ends at the end of its line.
+    line_at = {
+        end - 1: i for i, end in enumerate(itertools.accumulate(len(s) + 1 for s in signatures))
+    }
+    kept = [line_at[end] for _, end in _iter_signatures("\n".join(signatures))]
+
+    def valid(h, mi, d, m, y):
+        try:
+            datetime(y, m, d, h, mi)
+        except ValueError:
+            return False
+        return True
+
+    assert kept == [i for i, line in enumerate(lines) if valid(*line)]
 
 
 class TestReadPagesJsonl:
@@ -332,7 +361,8 @@ def reference_counts(text: str, title: str = "User talk:X"):
 
 def counted(text: str, title: str = "User talk:X"):
     posts, mass, counts = count_interactions(
-        TalkPage.from_page(title, text),
+        talk_page_owner(title),
+        text,
         {canonical_username(a) for a in DEFAULT_DELIVERY_AGENTS},
         DEFAULT_MASS_MESSAGE_MARKERS,
     )
@@ -382,8 +412,7 @@ def test_user_link_forms(link, user):
     ),
 ], ids=["at_offset_0", "subsection_inside", "mid_line", "crlf", "trailing_blanks"])
 def test_heading_cases(text, headings):
-    page = TalkPage.from_page("User talk:X", text)
-    assert [t.heading for t in split_threads(page)] == headings
+    assert [t.heading for t in split_threads(text)] == headings
     agrees_with_reference(text)
 
 
@@ -445,9 +474,8 @@ def load_corpus():
 def extract_all(pages):
     records = []
     for raw in pages:
-        page = TalkPage.from_page(raw["title"], raw["wikitext"])
-        threads = parse_talk_page(page)
-        records.extend(posts_to_records(page, threads))
+        threads = parse_talk_page(raw["wikitext"])
+        records.extend(posts_to_records(talk_page_owner(raw["title"]), threads))
     return records
 
 
@@ -483,16 +511,14 @@ signature_bits = st.sampled_from(
 @settings(max_examples=150, deadline=None)
 def test_post_count_bounded_by_timestamp_matches(chunks):
     text = "\n".join(chunks)
-    page = TalkPage.from_page("User talk:X", text)
-    total_posts = sum(len(t.posts) for t in parse_talk_page(page))
+    total_posts = sum(len(t.posts) for t in parse_talk_page(text))
     assert total_posts <= len(_TIMESTAMP_RE.findall(text))
 
 
 @given(st.text(max_size=400))
 @settings(max_examples=150, deadline=None)
 def test_parser_never_raises_on_arbitrary_wikitext(text):
-    page = TalkPage.from_page("User talk:X", text)
-    for thread in parse_talk_page(page):
+    for thread in parse_talk_page(text):
         assert isinstance(thread.heading, str)
 
 
