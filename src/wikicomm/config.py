@@ -116,10 +116,7 @@ class PipelineConfig:
             expected, accepts = _JSON_TYPES[types[key]]
             if not accepts(value):
                 raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**data)
 
     def canonical_projects(self) -> list[str]:
         """The configured project list, normalized, order-preserving, deduped."""

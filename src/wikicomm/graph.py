@@ -13,7 +13,7 @@ w >= 1 counts the interactions between nodes u and v. :func:`build_networks`
 yields them summed, sorted and with ``u < v``, together with the sorted
 members in no row, which are isolated and take no part in the metrics.
 :func:`effective_information` takes the rows in that one form, and
-:func:`read_edge_list` checks that a file holds them so.
+:func:`read_edge_list` raises ValueError at a file line not in that form.
 
 The communication structure of a group is summarized by three quantities
 of the random walk on its interaction graph, where a walker at node i steps
@@ -44,17 +44,12 @@ from dataclasses import dataclass
 from typing import IO, AbstractSet, Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
-    "SelfLoopError",
     "StructureMetrics",
     "build_networks",
     "effective_information",
     "write_edge_list",
     "read_edge_list",
 ]
-
-
-class SelfLoopError(ValueError):
-    """Raised when an interaction between a node and itself is recorded."""
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ def read_edge_list(source: IO[str]) -> list[tuple[str, str, int]]:
             if weight < 1:
                 raise ValueError(f"line {lineno}: edge weight must be >= 1, got {w}")
             if u == v:
-                raise SelfLoopError(f"line {lineno}: self-loop on {u!r}")
+                raise ValueError(f"line {lineno}: self-loop on {u!r}")
             if u > v:
                 raise ValueError(f"line {lineno}: edge row has u > v: {line!r}")
             if (u, v) <= previous:

@@ -65,7 +65,6 @@ write_edge_list = _on_first_call("graph", "write_edge_list")
 build_networks = _on_first_call("graph", "build_networks")
 q_score = _on_first_call("quality", "q_score")
 read_assessments_csv = _on_first_call("quality", "read_assessments_csv")
-write_quality_csv = _on_first_call("quality", "write_quality_csv")
 f_test_to_dict = _on_first_call("report", "f_test_to_dict")
 fit_to_dict = _on_first_call("report", "fit_to_dict")
 render_coefficient_table = _on_first_call("report", "render_coefficient_table")
@@ -165,6 +164,11 @@ def _write_text(path: Path, text: str) -> None:
         f.write(text)
 
 
+def _json_text(doc) -> str:
+    """``doc`` as the JSON text of every JSON output: indented, keys sorted."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _read_json(path: Path):
     """The JSON document at ``path``, or None where there is no file."""
     return json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
@@ -223,7 +227,7 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
         "earliest_fetch": client.earliest_fetch,
         "latest_fetch": client.latest_fetch,
     }
-    _write_text(out / "fetch_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(out / "fetch_manifest.json", _json_text(manifest))
     log.info("ingest: %d projects, %d member talk pages", len(projects), len(all_members))
     return manifest
 
@@ -238,18 +242,19 @@ PARSE_CHUNK_BYTES = 1 << 20
 
 
 @contextlib.contextmanager
-def _parse_pool() -> Iterator[Callable]:
-    """An order-preserving ``map`` over one worker per CPU this process may use.
+def _parse_pool() -> Iterator[Callable[[Iterable[Callable[[], object]]], Iterator]]:
+    """``in_order(tasks)``: the results of zero-argument tasks, in task order.
 
-    With one CPU, or on a host without ``os.sched_getaffinity`` (macOS,
-    Windows, which also lacks ``fork``), it is the builtin ``map``: the work
-    stays in this process, where it can be profiled and hooked. A worker that
-    dies (say, killed for memory) fails the stage with ``BrokenProcessPool``
-    instead of hanging it.
+    The tasks run on one worker per CPU this process may use. With one CPU,
+    or on a host without ``os.sched_getaffinity`` (macOS, Windows, which
+    also lacks ``fork``), each runs in this process when its result is asked
+    for, where it can be profiled and hooked. A worker that dies (say,
+    killed for memory) fails the stage with ``BrokenProcessPool`` instead of
+    hanging it.
     """
     n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if n_cpus == 1:
-        yield map
+        yield lambda tasks: (task() for task in tasks)
         return
     # Imported here: the process-pool modules would add milliseconds to
     # every ``import wikicomm``.
@@ -262,20 +267,20 @@ def _parse_pool() -> Iterator[Callable]:
     # thread, and the pipeline starts none of its own.
     executor = ProcessPoolExecutor(n_cpus, mp_context=multiprocessing.get_context("fork"))
 
-    def ordered_map(fn: Callable, items: Iterable) -> Iterator:
+    def in_order(tasks: Iterable[Callable[[], object]]) -> Iterator:
         # Two tasks per worker in flight: each worker has its next task
         # queued while this process writes results, and at most that many
         # chunks are held in memory.
         pending: deque = deque()
-        for item in items:
-            pending.append(executor.submit(fn, item))
+        for task in tasks:
+            pending.append(executor.submit(task))
             if len(pending) == 2 * n_cpus:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
 
     try:
-        yield ordered_map
+        yield in_order
     finally:
         executor.shutdown(cancel_futures=True)
 
@@ -357,10 +362,6 @@ def _parse_talk_chunk(
     return "".join(interactions), n_pages, n_posts, n_mass, n_self, skipped
 
 
-def _call(task: Callable[[], object]) -> object:
-    return task()
-
-
 def stage_parse(config: PipelineConfig) -> dict:
     """Parse fetched wikitext into member sets and interaction counts.
 
@@ -383,15 +384,15 @@ def stage_parse(config: PipelineConfig) -> dict:
     )
     members: dict[str, set[str]] = defaultdict(set)
     n_pages = n_posts = n_mass = n_self = skipped = 0
-    with _parse_pool() as ordered_map, _replaced_on_success(
+    with _parse_pool() as in_order, _replaced_on_success(
         out / "members.json"
     ) as f_members, _replaced_on_success(out / "interactions.tsv") as f_interactions:
-        results = ordered_map(_call, tasks)
+        results = in_order(tasks)
         for found in itertools.islice(results, len(project_chunks)):
             for project, names in found.items():
                 members[project] |= names
         sorted_members = {project: sorted(names) for project, names in members.items()}
-        f_members.write(json.dumps(sorted_members, indent=2, sort_keys=True) + "\n")
+        f_members.write(_json_text(sorted_members))
         for interactions, pages, posts, mass, own, reasons in results:
             f_interactions.write(interactions)
             n_pages += pages
@@ -465,7 +466,12 @@ def stage_build(config: PipelineConfig) -> int:
 
     rows = []
     slugs: set[str] = set()
-    with _dir_replaced_on_success(out / "networks") as networks_dir:
+    summary = out / "projects.csv"
+    # Removed just before networks/ is swapped and replaced after it: an
+    # interrupted swap leaves no summary for metrics to pair with old networks.
+    with _replaced_on_success(summary) as f_summary, _dir_replaced_on_success(
+        out / "networks"
+    ) as networks_dir:
         networks = build_networks(_read_interactions(interactions), members)
         for project, network, isolated in networks:
             slug = _slug(project)
@@ -477,9 +483,9 @@ def stage_build(config: PipelineConfig) -> int:
             member_count = len(members[project])
             active = member_count - len(isolated)
             rows.append((project, member_count, active, f"{active / member_count:.6f}"))
-        with _replaced_on_success(out / "projects.csv") as f:
-            header = ["project", "member_count", "active_nodes", "fraction_in_network"]
-            _write_csv(f, header, rows)
+        header = ["project", "member_count", "active_nodes", "fraction_in_network"]
+        _write_csv(f_summary, header, rows)
+        summary.unlink(missing_ok=True)
     log.info("build: %d project networks", len(rows))
     return len(rows)
 
@@ -529,13 +535,12 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
         n_fa, n_ga = ranks.count(2), ranks.count(1)
         n_articles, n_quality = len(ranks), n_fa + n_ga
         counts[project] = (n_articles, n_quality)
-        rows.append(
-            (project, n_articles, n_quality, q_score(n_quality, n_articles, config.p_exponent))
-        )
+        score = q_score(n_quality, n_articles, config.p_exponent)
+        rows.append((project, n_articles, n_quality, f"{score:.6f}"))
         fa_counts.append(n_fa)
         ga_counts.append(n_ga)
     with _replaced_on_success(out / "quality.csv") as f:
-        write_quality_csv(rows, f)
+        _write_csv(f, ["project", "n_articles", "n_quality", "q_score"], rows)
 
     # FA and GA counts are combined into one quality measure downstream; the
     # correlation between them is the check that this combination is sound.
@@ -548,8 +553,7 @@ def stage_quality(config: PipelineConfig) -> dict[str, tuple[int, int]]:
         summary["fa_ga_pearson_r"] = None
         summary["fa_ga_p_value"] = None
         summary["note"] = f"correlation undefined: {exc}"
-    with _replaced_on_success(out / "quality_summary.json") as f:
-        f.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_text(out / "quality_summary.json", _json_text(summary))
     log.info("quality: %d projects scored", len(rows))
     return counts
 
@@ -705,7 +709,7 @@ def stage_regress(config: PipelineConfig) -> dict:
             "response": "quality_log",
         },
     }
-    _write_text(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(out / "report.json", _json_text(report))
 
     table = render_coefficient_table(
         fits, ["Model 1", "Model 2", "Model 3"], VARIABLE_LABELS
@@ -758,7 +762,7 @@ def stage_report(config: PipelineConfig) -> dict:
             "log transforms use the natural logarithm",
         ],
     }
-    _write_text(out / "bundle_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_text(out / "bundle_meta.json", _json_text(meta))
     return meta
 
 
@@ -781,8 +785,6 @@ def run_stage(name: str, config: PipelineConfig):
         raise ConfigError(f"unknown stage {name!r}; stages are {STAGE_ORDER}")
     try:
         return STAGES[name](config)
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 

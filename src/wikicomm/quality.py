@@ -1,4 +1,4 @@
-"""Project quality scores from article assessment data.
+"""Project quality scores from article assessment data; the pipeline writes them.
 
 A project's raw quality output is the number of its Featured and Good
 Articles. Because project scopes differ by orders of magnitude, the score
@@ -11,12 +11,11 @@ hands on each grade as a rank: FA 2, GA 1, any other grade 0.
 from __future__ import annotations
 
 import csv
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 __all__ = [
     "q_score",
     "read_assessments_csv",
-    "write_quality_csv",
 ]
 
 # Recognized namespace prefixes; titles carrying one are not encyclopedia
@@ -102,11 +101,3 @@ def _assessment_rows(
         if rank is None:
             rank = ranks[raw_grade] = _RANKS.get(raw_grade.strip().upper(), 0)
         yield project, article, rank
-
-
-def write_quality_csv(rows: Iterable[tuple[str, int, int, float]], out: IO[str]) -> None:
-    """Write the per-project quality CSV from ``(project, n_articles, n_quality, Q_p)``."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["project", "n_articles", "n_quality", "q_score"])
-    for project, n_articles, n_quality, score in rows:
-        writer.writerow([project, n_articles, n_quality, f"{score:.6f}"])

@@ -5,7 +5,8 @@ scaled to unit norm, and never forms XᵀX: β, (XᵀX)⁻¹ and the rank check 
 come from it. A design whose scaled columns have a condition estimate
 cond(X)² above 1e12 aborts the fit and names the columns that carry the
 near-dependency; a column's units do not change the verdict. Standard errors
-are the conventional non-robust σ̂²(XᵀX)⁻¹ diagonal.
+are the conventional non-robust σ̂²(XᵀX)⁻¹ diagonal. A fit's overall F is
+the nested F-test against the intercept-only model.
 
 Everything is plain Python, and every sum over rows is a ``math.fsum``,
 which is correctly rounded: no result depends on the order of the rows or
@@ -281,14 +282,12 @@ def ols_fit(
     else:
         r_squared = 0.0
 
-    if k > 0 and df2 > 0 and rss > 0.0:
-        f_stat = ((tss - rss) / k) / (rss / df2)
-        f_stat = max(0.0, f_stat)
-        f_p = f_sf(f_stat, k, df2)
-    elif k > 0 and df2 > 0 and tss > 0.0:
-        f_stat, f_p = float("inf"), 0.0
+    # The intercept-only model's RSS is the TSS; a constant y fitted exactly has no F.
+    if k > 0 and df2 > 0 and (rss > 0.0 or tss > 0.0):
+        overall = _f_test(tss, rss, k, df2)
+        f_stat, f_p = overall.f_value, overall.p_value
     else:
-        f_stat, f_p = float("nan"), float("nan")
+        f_stat = f_p = float("nan")
 
     return OlsFit(
         response=response,
@@ -306,6 +305,14 @@ def ols_fit(
         n=n,
         covariance=tuple(tuple(sigma2 * c for c in row) for row in inverse),
     )
+
+
+def _f_test(rss_reduced: float, rss_full: float, df1: int, df2: int) -> FTestResult:
+    """F-test of a model with ``df1`` fewer parameters; a perfect full fit gives F = inf."""
+    if rss_full <= 0.0:
+        return FTestResult(f_value=float("inf"), df1=df1, df2=df2, p_value=0.0)
+    f_value = max(0.0, ((rss_reduced - rss_full) / df1) / (rss_full / df2))
+    return FTestResult(f_value=f_value, df1=df1, df2=df2, p_value=f_sf(f_value, df1, df2))
 
 
 def nested_f_test(full: OlsFit, reduced: OlsFit) -> FTestResult:
@@ -327,12 +334,7 @@ def nested_f_test(full: OlsFit, reduced: OlsFit) -> FTestResult:
         return FTestResult(f_value=0.0, df1=0, df2=df2, p_value=1.0)
     if df2 <= 0:
         raise ValueError("full model has no residual degrees of freedom")
-    if full.rss <= 0.0:
-        return FTestResult(f_value=float("inf"), df1=df1, df2=df2, p_value=0.0)
-    f_value = max(0.0, ((reduced.rss - full.rss) / df1) / (full.rss / df2))
-    return FTestResult(
-        f_value=f_value, df1=df1, df2=df2, p_value=f_sf(f_value, df1, df2)
-    )
+    return _f_test(reduced.rss, full.rss, df1, df2)
 
 
 def linear_hypothesis(

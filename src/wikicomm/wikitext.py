@@ -227,15 +227,13 @@ def count_interactions(
     in order of first post, the number of their posts outside mass-message
     threads.
 
-    Only a thread holding a marker or an agent's signature is a mass
-    message, so the page is split into threads only when its text holds a
-    marker or an agent signed it; otherwise every post counts.
+    A thread is a mass message only if the whole page would be one, so the
+    page is split into threads only when :func:`_is_mass_message` holds for
+    its signers and text; otherwise every post counts.
     """
     signatures = list(_iter_signatures(text, skip_headings=True))
     kept = signatures
-    if any(marker in text for marker in markers) or any(
-        author in agents for author, _ in signatures
-    ):
+    if _is_mass_message((author for author, _ in signatures), text, agents, markers):
         kept = []
         for _, start, end, signed in _signed_threads(text, signatures):
             authors = [author for author, _ in signed]

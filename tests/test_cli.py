@@ -1,4 +1,3 @@
-import contextlib
 import json
 import os
 import pkgutil
@@ -57,6 +56,21 @@ class TestExitCodes:
 
     def test_unreadable_config_is_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.json"), "run"]) == EXIT_CONFIG
+
+    def test_ingest_without_projects_is_2(self, tmp_path, capsys):
+        # Offline without pre-seeded inputs, ingest needs the project list.
+        config = write_config(tmp_path, projects=[])
+        assert main(["--config", str(config), "--offline", "ingest"]) == EXIT_CONFIG
+        assert "config lists no projects" in capsys.readouterr().err
+
+    def test_unmapped_failure_is_1_and_names_the_stage(self, tmp_path, monkeypatch, capsys):
+        def fail(config):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setitem(pipeline.STAGES, "quality", fail)
+        config = write_config(tmp_path)
+        assert main(["--config", str(config), "--offline", "quality"]) == 1
+        assert "error: stage 'quality' failed: unexpected" in capsys.readouterr().err
 
     def test_offline_cache_miss_is_3(self, tmp_path):
         config = write_config(tmp_path)
@@ -212,8 +226,8 @@ def test_commands_load_only_the_layers_they_call(tmp_path):
 def test_stages_call_every_hooked_name(tmp_path, monkeypatch, tracer):
     # The benchmark's tracer times a layer by wrapping its names in
     # wikicomm.pipeline; a name that still resolves but that no stage calls
-    # would read zero. The parse pool runs in process so that the wrapped
-    # extract_project_members is the one called.
+    # would read zero. With one CPU the parse runs in process, so that the
+    # wrapped extract_project_members is the one called.
     hooked = [attr for path, attr, _ in tracer.LAYER_HOOKS
               if path == "wikicomm.pipeline" and f"{path}.{attr}" not in RETIRED]
     assert hooked
@@ -227,7 +241,7 @@ def test_stages_call_every_hooked_name(tmp_path, monkeypatch, tracer):
 
     for name in hooked:
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
-    monkeypatch.setattr(pipeline, "_parse_pool", lambda: contextlib.nullcontext(map))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     config = write_config(tmp_path)
     seed(tmp_path)
     assert main(["--config", str(config), "--offline", "run"]) == 0

@@ -126,7 +126,8 @@ class TestCache:
         assert ResponseCache(directory).get("key") == entry
         assert len(list(directory.iterdir())) == 2
 
-    @pytest.mark.parametrize("cut", ["inside_payload", "inside_header", "unparsable_header"])
+    @pytest.mark.parametrize("cut", ["inside_payload", "inside_header", "unparsable_header",
+                                     "non_string_key", "negative_size"])
     def test_torn_record_ends_its_pack(self, tmp_path, caplog, cut):
         directory = tmp_path / "c"
         cache = ResponseCache(directory)
@@ -138,6 +139,8 @@ class TestCache:
             "inside_payload": record(second)[:-1],
             "inside_header": record(second)[:10],
             "unparsable_header": b"not a header\n" + b"two two two",
+            "non_string_key": b'{"key": 2, "size": 11}\n' + b"two two two",
+            "negative_size": b'{"key": "second", "size": -1}\n' + b"two two two",
         }[cut]
         pack.write_bytes(record(first) + torn)
         with caplog.at_level("WARNING"):
@@ -459,6 +462,14 @@ class TestOnlyAnswersAreCached:
         assert len(session.calls) == 3
         assert fake.sleeps == [2.0, 4.0]
         assert cached_keys(client) == []
+
+    def test_cli_exits_3_when_every_answer_is_http_404(self, tmp_path, monkeypatch, capsys):
+        # A status that is neither 200 nor a throttle is retried all the same.
+        session = RoutingSession(lambda params: (404, b"Not Found"))
+        assert ingest_cli(tmp_path, monkeypatch, session) == EXIT_NETWORK
+        assert len(session.calls) == 2  # max_retries is 1
+        assert "HTTP 404" in capsys.readouterr().err
+        assert list((tmp_path / "cache").iterdir()) == []
 
     def test_cli_exits_3_when_every_answer_is_html(self, tmp_path, monkeypatch, capsys):
         session = RoutingSession(lambda params: (200, PROXY_PAGE))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikicomm.graph import (
-    SelfLoopError,
     effective_information,
     read_edge_list,
     write_edge_list,
@@ -310,7 +309,7 @@ class TestEdgeListFormat:
         assert str(excinfo.value) == "line 2: malformed edge-list line: 'c\\t00'"
 
     def test_self_loop_line_is_named(self):
-        with pytest.raises(SelfLoopError, match="^line 2: self-loop on 'c'$"):
+        with pytest.raises(ValueError, match="^line 2: self-loop on 'c'$"):
             read_edge_list(io.StringIO("a\tb\t1\nc\tc\t2\n"))
 
     def test_zero_weight_line_is_named(self):

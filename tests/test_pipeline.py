@@ -203,6 +203,33 @@ class TestGoldenRun:
         assert {p.name: p.read_bytes() for p in (out / "networks").iterdir()} == before
         assert not (out / "networks.tmp").exists()
 
+    def test_interrupted_network_swap_leaves_no_projects_csv(self, tmp_path, monkeypatch):
+        # Swapping networks/ in is the last step of build: interrupted there,
+        # metrics must not pair a new projects.csv with the old networks.
+        config = miniwiki_config(tmp_path)
+        seed_workdir(config)
+        for stage in ["ingest", "parse", "build", "quality"]:
+            run_stage(stage, config)
+        out = Path(config.output_dir)
+        lines = (out / "interactions.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (out / "interactions.tsv").write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+        rmtree = shutil.rmtree
+
+        def interrupted_at_networks(path, *args, **kwargs):
+            if Path(path) == out / "networks":
+                raise KeyboardInterrupt
+            rmtree(path, *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(shutil, "rmtree", interrupted_at_networks)
+            with pytest.raises(KeyboardInterrupt):
+                run_stage("build", config)
+        with pytest.raises(PipelineStageError, match=r"'metrics'.*projects\.csv") as info:
+            run_stage("metrics", config)
+        assert isinstance(info.value.cause, FileNotFoundError)  # exit code 4
+        assert not (out / "projects.csv").exists()
+        assert sorted(out.glob("*.tmp")) == []
+
     def test_dropped_project_loses_its_edge_list(self, tmp_path):
         config = miniwiki_config(tmp_path)
         seed_workdir(config)

@@ -18,7 +18,6 @@ from wikicomm.quality import (
     is_main_namespace,
     q_score,
     read_assessments_csv,
-    write_quality_csv,
 )
 
 from oracles import Assessment, count_quality, dedupe_assessments
@@ -258,21 +257,23 @@ class TestNamespaceFilter:
 
 
 class TestCsv:
-    def test_round_trip(self):
-        source = io.StringIO(
-            "project,article,grade\n"
-            "Storms,Hurricane A,FA\n"
-            "Storms,Hurricane A,ga\n"
-            "Storms,Talk:Hurricane A,FA\n"
-            "Storms,Hurricane B,Start\n"
-        )
-        assert list(read_assessments_csv(source)) == [  # talk-page row filtered out
-            ("Storms", "Hurricane A", 2), ("Storms", "Hurricane A", 1), ("Storms", "Hurricane B", 0)
+    def test_round_trip(self, tmp_path):
+        rows = [
+            ("Storms", "Hurricane A", "FA"),
+            ("Storms", "Hurricane A", "ga"),
+            ("Storms", "Talk:Hurricane A", "FA"),
+            ("Storms", "Hurricane B", "Start"),
         ]
+        write_assessments(tmp_path, rows)
+        with open(tmp_path / "assessments.csv", encoding="utf-8") as f:
+            assert list(read_assessments_csv(f)) == [  # talk-page row filtered out
+                ("Storms", "Hurricane A", 2),
+                ("Storms", "Hurricane A", 1),
+                ("Storms", "Hurricane B", 0),
+            ]
         # Hurricane A counts once, at FA; Hurricane B is no quality article.
-        out = io.StringIO()
-        write_quality_csv([("Storms", 2, 1, q_score(1, 2, 0.5))], out)
-        assert out.getvalue() == (
+        stage_quality(PipelineConfig(output_dir=str(tmp_path)))
+        assert (tmp_path / "quality.csv").read_text(encoding="utf-8") == (
             "project,n_articles,n_quality,q_score\nStorms,2,1,0.707107\n"
         )
 
@@ -345,12 +346,12 @@ def test_failed_quality_write_keeps_previous_output(tmp_path, monkeypatch):
     stage_quality(config)
     before = (tmp_path / "quality.csv").read_bytes()
 
-    def write_one_line_then_fail(rows, out):
-        out.write("project,n_articles,n_quality,q_score\n")
+    def write_header_then_fail(out, header, rows):
+        out.write(",".join(header) + "\n")
         raise OSError("disk full")
 
     write_assessments(tmp_path, [("Storms", "A", "GA")])
-    monkeypatch.setattr(pipeline, "write_quality_csv", write_one_line_then_fail)
+    monkeypatch.setattr(pipeline, "_write_csv", write_header_then_fail)
     with pytest.raises(OSError, match="disk full"):
         stage_quality(config)
     assert (tmp_path / "quality.csv").read_bytes() == before

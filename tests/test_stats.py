@@ -315,6 +315,35 @@ class TestNestedFTest:
         assert ks_statistic_uniform(p_values) <= 0.05
 
 
+class TestPerfectFit:
+    """The overall F and the nested test share one rule for a zero residual sum of squares.
+
+    The x column is orthogonal to the intercept, so the SVD needs no rotation
+    and the fit of an exactly linear y leaves residuals of exactly zero.
+    """
+
+    X = [-1.0, 1.0, -1.0, 1.0]
+
+    def test_exact_line_gives_infinite_f(self):
+        data = {"x": self.X, "y": [0.0, 2.0, 0.0, 2.0]}  # y = 1 + x
+        fit = ols_fit(data, "y", ["x"])
+        assert (fit.rss, fit.tss) == (0.0, 4.0)
+        assert (fit.f_statistic, fit.f_p_value, fit.f_df) == (math.inf, 0.0, (1, 2))
+        result = nested_f_test(fit, ols_fit(data, "y", []))
+        assert (result.f_value, result.p_value, result.df1, result.df2) == (math.inf, 0.0, 1, 2)
+
+    def test_exact_constant_gives_nan_f(self):
+        fit = ols_fit({"x": self.X, "y": [3.0] * 4}, "y", ["x"])
+        assert (fit.rss, fit.tss) == (0.0, 0.0)
+        assert math.isnan(fit.f_statistic) and math.isnan(fit.f_p_value)
+
+    def test_constant_with_rounding_residue_gives_zero_f(self):
+        # Here the SVD rotates, and the residuals keep a rounding residue.
+        fit = ols_fit({"x": [1.0, 2.0, 3.0, 4.0], "y": [3.0] * 4}, "y", ["x"])
+        assert fit.tss == 0.0 and fit.rss > 0.0
+        assert (fit.f_statistic, fit.f_p_value) == (0.0, 1.0)
+
+
 class TestTailPValues:
     """At N near 1000 strong effects have p-values far below 1e-16; none may read 0."""
 
