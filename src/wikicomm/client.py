@@ -12,6 +12,8 @@ interrupted write can only end a pack, and is ignored.
 The client sends two fixed queries, ``PAGE_QUERY`` per title and the paged
 ``ASSESSMENTS_QUERY``. Both ask for ``formatversion=2``, the one response
 shape it reads; an answer of another shape fails with :class:`DataError`.
+The fetchers yield plain tuples: ``(title, wikitext)`` per existing page and
+``(project, article, grade)`` per assessment.
 The ``session`` constructor argument is the seam tests use to stay offline.
 ``requests`` is imported only when the client builds its own session, on
 its first live fetch, so offline runs never load the HTTP stack.
@@ -24,7 +26,6 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
@@ -34,7 +35,7 @@ from .config import PipelineConfig
 if TYPE_CHECKING:
     import requests
 
-__all__ = ["FetchExhaustedError", "DataError", "CacheEntry", "ResponseCache", "MediaWikiClient"]
+__all__ = ["FetchExhaustedError", "DataError", "ResponseCache", "MediaWikiClient"]
 
 log = logging.getLogger(__name__)
 
@@ -80,15 +81,6 @@ class DataError(Exception):
     """A response violated a data invariant (e.g. a continuation loop)."""
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cached response: canonical request key, fetch instant, raw bytes."""
-
-    key: str
-    fetched_at: datetime
-    payload: bytes
-
-
 def _digest(key: str) -> bytes:
     return hashlib.sha256(key.encode("utf-8")).digest()
 
@@ -100,6 +92,7 @@ def _record_header(line: bytes) -> Optional[tuple[str, int]]:
     try:
         header = json.loads(line)
         key, size = header["key"], header["size"]
+        datetime.fromisoformat(header["fetched_at"])
     except (ValueError, TypeError, KeyError):
         return None
     if not isinstance(key, str) or not isinstance(size, int) or size < 0:
@@ -122,12 +115,14 @@ class ResponseCache:
     The constructor builds the index, which maps the sha256 digest of each
     key to its record. It reads the header of every record in every
     ``*.pack``, in name order, and stops reading a pack at a header line
-    that is cut or does not parse, or at a payload that runs past the end of
-    the file, with a warning; the first record of a key wins. Any other file
-    in the directory is ignored and left as it is. The cache therefore sees
-    what existed when it was built and what it writes itself, not what
-    another process writes meanwhile. ``get`` is a dict lookup: a miss
-    touches no file, and a hit reads one record.
+    that is cut or does not parse (a key that is no string, a size that is no
+    int ≥ 0, a ``fetched_at`` that is no ISO instant), or at a payload that
+    runs past the end of the file, with a warning; the first record of a key
+    wins. Any other file in the directory is ignored and left as it is. The
+    cache therefore sees what existed when it was built and what it writes
+    itself, not what another process writes meanwhile. ``get`` is a dict
+    lookup: a miss touches no file, and a hit reads one record. ``get`` and
+    ``put`` return ``(fetched_at, payload)``, the instant as written.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -160,38 +155,32 @@ class ResponseCache:
                 f.seek(offset)
 
     @staticmethod
-    def _read(path: str, offset: int) -> CacheEntry:
+    def _read(path: str, offset: int) -> tuple[str, bytes]:
         with open(path, "rb") as f:
             f.seek(offset)
             meta = json.loads(f.readline())
-            payload = f.read(meta["size"])
-        return CacheEntry(
-            key=meta["key"],
-            fetched_at=datetime.fromisoformat(meta["fetched_at"]),
-            payload=payload,
-        )
+            return meta["fetched_at"], f.read(meta["size"])
 
-    def _pack_of(self, key: str) -> str:
+    def pack_of(self, key: str) -> str:
         """The pack that holds the record of ``key``, which must be cached."""
         return self._index[_digest(key)][0]
 
-    def get(self, key: str) -> Optional[CacheEntry]:
+    def get(self, key: str) -> Optional[tuple[str, bytes]]:
         location = self._index.get(_digest(key))
         return self._read(*location) if location is not None else None
 
-    def put(self, key: str, payload: bytes) -> CacheEntry:
+    def put(self, key: str, payload: bytes) -> tuple[str, bytes]:
         digest = _digest(key)
         location = self._index.get(digest)
         if location is not None:
             return self._read(*location)
-        fetched_at = datetime.now(timezone.utc)
-        header = _encode_header(
-            {"fetched_at": fetched_at.isoformat(), "key": key, "size": len(payload)}
-        )
+        now = datetime.now(timezone.utc)
+        fetched_at = now.isoformat()
+        header = _encode_header({"fetched_at": fetched_at, "key": key, "size": len(payload)})
         mode = "ab"
         if self._pack is None:
             mode = "xb"
-            name = f"{fetched_at:%Y%m%dT%H%M%S%fZ}-{os.getpid()}.pack"
+            name = f"{now:%Y%m%dT%H%M%S%fZ}-{os.getpid()}.pack"
             self._pack = os.path.join(self._dir, name)
         try:
             with open(self._pack, mode) as f:
@@ -202,7 +191,7 @@ class ResponseCache:
             self._pack = None
             raise
         self._index[digest] = (self._pack, offset)
-        return CacheEntry(key=key, fetched_at=fetched_at, payload=payload)
+        return fetched_at, payload
 
 
 def canonical_request(url: str, params: dict[str, str]) -> str:
@@ -274,8 +263,7 @@ class MediaWikiClient:
             self._session.headers.update({"User-Agent": self.config.user_agent})
         return self._session
 
-    def _count(self, entry: CacheEntry) -> None:
-        instant = entry.fetched_at.isoformat()
+    def _count(self, instant: str) -> None:
         self.answers += 1
         self.earliest_fetch = min(instant, self.earliest_fetch or instant)
         self.latest_fetch = max(instant, self.latest_fetch or instant)
@@ -297,13 +285,14 @@ class MediaWikiClient:
         key = canonical_request(self.config.api_base_url, params)
         cached = self.cache.get(key)
         if cached is not None:
-            body = _json_object(cached.payload)
+            fetched_at, payload = cached
+            body = _json_object(payload)
             if body is None or "error" in body:
                 raise DataError(
                     f"cached response is no API answer for request {params}; deleting "
-                    f"{self.cache._pack_of(key)} makes its answers get fetched again"
+                    f"{self.cache.pack_of(key)} makes its answers get fetched again"
                 )
-            self._count(cached)
+            self._count(fetched_at)
             return body
         if self.config.offline:
             raise FetchExhaustedError(
@@ -339,7 +328,7 @@ class MediaWikiClient:
                 continue
             if error is not None:
                 raise DataError(f"API error {json.dumps(error)} for request {params}")
-            self._count(self.cache.put(key, payload))
+            self._count(self.cache.put(key, payload)[0])
             return body
         raise FetchExhaustedError(
             f"request failed after {self.config.max_retries + 1} attempts "
@@ -348,8 +337,8 @@ class MediaWikiClient:
 
     # -- page fetchers ------------------------------------------------------
 
-    def fetch_pages(self, titles: Iterable[str]) -> Iterator[dict]:
-        """Fetch wikitext for each title; missing pages are logged and skipped."""
+    def fetch_pages(self, titles: Iterable[str]) -> Iterator[tuple[str, str]]:
+        """``(title, wikitext)`` per title; missing pages are logged and skipped."""
         for title in titles:
             params = dict(PAGE_QUERY, titles=title)
             for page in _pages(self.get_json(params), params):
@@ -360,20 +349,20 @@ class MediaWikiClient:
                 if wikitext is None:
                     log.warning("page has no retrievable content, skipped: %s", title)
                     continue
-                yield {"title": page.get("title", title), "wikitext": wikitext}
+                yield page.get("title", title), wikitext
 
-    def fetch_project_pages(self, project: str) -> Iterator[dict]:
-        """One ``{"title", "wikitext"}`` record per existing page of a Wikiproject."""
+    def fetch_project_pages(self, project: str) -> Iterator[tuple[str, str]]:
+        """``(title, wikitext)`` per existing page of a Wikiproject."""
         yield from self.fetch_pages(
             f"Wikipedia:WikiProject {project}{subpage}" for subpage in PROJECT_SUBPAGES
         )
 
-    def fetch_user_talk_pages(self, usernames: Iterable[str]) -> Iterator[dict]:
-        """One ``{"title", "wikitext"}`` record per existing user talk page."""
+    def fetch_user_talk_pages(self, usernames: Iterable[str]) -> Iterator[tuple[str, str]]:
+        """``(title, wikitext)`` per existing user talk page."""
         yield from self.fetch_pages(f"User talk:{name}" for name in usernames)
 
-    def fetch_assessments(self) -> Iterator[dict]:
-        """Yield ``{"project", "article", "grade"}`` rows from paginated queries.
+    def fetch_assessments(self) -> Iterator[tuple[str, str, str]]:
+        """Yield ``(project, article, grade)`` rows from paginated queries.
 
         Follows continuation tokens; a server that repeats a continuation
         token would loop forever, so repeats abort with :class:`DataError`.
@@ -392,7 +381,7 @@ class MediaWikiClient:
                     grade = assessment.get("class", "") if isinstance(assessment, dict) else None
                     if not isinstance(grade, str):
                         raise DataError(f"malformed pageassessments for request {params}")
-                    yield {"project": project, "article": page["title"], "grade": grade}
+                    yield project, page["title"], grade
             cont = body.get("continue")
             if not cont:
                 return

@@ -1,4 +1,4 @@
-"""End-to-end stage orchestration: ingest → parse → build → quality → metrics → regress.
+"""End-to-end stage orchestration: ingest → parse → build → quality → metrics → regress → report.
 
 Every stage reads its inputs from files under the output directory and
 rewrites its outputs deterministically, so a run over an unchanged cache is
@@ -206,21 +206,17 @@ def stage_ingest(config: PipelineConfig, client: Optional[MediaWikiClient] = Non
         out / "talk_pages.jsonl"
     ) as f_talk, _replaced_on_success(out / "assessments.csv") as f_assessments:
         for project in projects:
-            pages = []
-            for record in client.fetch_project_pages(project):
-                pages.append((record["title"], record["wikitext"]))
-                f_projects.write(_encode_page({"project": project, **record}) + "\n")
+            pages = list(client.fetch_project_pages(project))
+            for title, wikitext in pages:
+                record = {"project": project, "title": title, "wikitext": wikitext}
+                f_projects.write(_encode_page(record) + "\n")
             members_by_project[project] = extract_project_members(pages)
 
         all_members = sorted(set().union(*members_by_project.values()))
-        for record in client.fetch_user_talk_pages(all_members):
-            f_talk.write(_encode_page(record) + "\n")
+        for title, wikitext in client.fetch_user_talk_pages(all_members):
+            f_talk.write(_encode_page({"title": title, "wikitext": wikitext}) + "\n")
 
-        _write_csv(
-            f_assessments,
-            ["project", "article", "grade"],
-            ([row["project"], row["article"], row["grade"]] for row in client.fetch_assessments()),
-        )
+        _write_csv(f_assessments, ["project", "article", "grade"], client.fetch_assessments())
 
     manifest = {
         "requests": client.answers,
@@ -628,14 +624,9 @@ def stage_metrics(config: PipelineConfig) -> int:
     if rows_out:
         column_index = {name: i for i, name in enumerate(header)}
         for name in summary_vars:
-            d = descriptives([float(r[column_index[name]]) for r in rows_out])
+            mean, sd, median = descriptives([float(r[column_index[name]]) for r in rows_out])
             summaries.append(
-                [
-                    name,
-                    f"{d.mean:.6f}",
-                    "" if d.sd is None else f"{d.sd:.6f}",
-                    f"{d.median:.6f}",
-                ]
+                [name, f"{mean:.6f}", "" if sd is None else f"{sd:.6f}", f"{median:.6f}"]
             )
     with _replaced_on_success(out / "variables.csv") as f:
         _write_csv(f, header, rows_out)

@@ -1,12 +1,14 @@
-"""Descriptive statistics, correlation, and OLS regression with F-tests.
+"""Column summaries, correlation, and OLS regression with F-tests.
 
+``descriptives`` summarizes a column as a plain ``(mean, sd, median)``.
 The regression path takes one thin SVD of the design matrix X, its columns
 scaled to unit norm, and never forms XᵀX: β, (XᵀX)⁻¹ and the rank check all
 come from it. A design whose scaled columns have a condition estimate
 cond(X)² above 1e12 aborts the fit and names the columns that carry the
 near-dependency; a column's units do not change the verdict. Standard errors
 are the conventional non-robust σ̂²(XᵀX)⁻¹ diagonal. A fit's overall F is
-the nested F-test against the intercept-only model.
+the nested F-test against the intercept-only model; a constant response
+(TSS = 0) has none, and gets NaN.
 
 Everything is plain Python, and every sum over rows is a ``math.fsum``,
 which is correctly rounded: no result depends on the order of the rows or
@@ -24,7 +26,6 @@ from typing import Mapping, Optional, Sequence
 from .special import f_sf, t_sf
 
 __all__ = [
-    "Descriptives",
     "descriptives",
     "pearson_r",
     "OlsFit",
@@ -48,18 +49,9 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return math.fsum(map(operator.mul, a, b))
 
 
-@dataclass(frozen=True)
-class Descriptives:
-    """Sample mean, SD (n-1 denominator; None for n=1) and median."""
-
-    mean: float
-    sd: Optional[float]
-    median: float
-    n: int
-
-
-def descriptives(values: Sequence[float]) -> Descriptives:
-    """Summarize one column; the median of an even count is the central midpoint.
+def descriptives(values: Sequence[float]) -> tuple[float, Optional[float], float]:
+    """``(mean, sd, median)`` of one column: the SD has an n-1 denominator and
+    is None for n = 1, and the median of an even count is the central midpoint.
 
     Raises:
         ValueError: on an empty column.
@@ -73,7 +65,7 @@ def descriptives(values: Sequence[float]) -> Descriptives:
     sd = math.sqrt(_dot(deviations, deviations) / (n - 1)) if n > 1 else None
     # A NaN makes the mean NaN, and the median too (sorting cannot place it).
     median = mean if math.isnan(mean) else statistics.median(data)
-    return Descriptives(mean=mean, sd=sd, median=median, n=n)
+    return mean, sd, median
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -282,8 +274,8 @@ def ols_fit(
     else:
         r_squared = 0.0
 
-    # The intercept-only model's RSS is the TSS; a constant y fitted exactly has no F.
-    if k > 0 and df2 > 0 and (rss > 0.0 or tss > 0.0):
+    # The intercept-only model's RSS is the TSS; a constant y has no overall F.
+    if k > 0 and df2 > 0 and tss > 0.0:
         overall = _f_test(tss, rss, k, df2)
         f_stat, f_p = overall.f_value, overall.p_value
     else:

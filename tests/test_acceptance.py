@@ -7,20 +7,19 @@ import csv
 import json
 import math
 import random
-import shutil
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from wikicomm.config import PipelineConfig
 from wikicomm.graph import effective_information
 from wikicomm.pipeline import REFERENCE_SNAPSHOT_ANCHORS, STAGE_ORDER, run_stage
 from wikicomm.quality import q_score
 from wikicomm.stats import linear_hypothesis, nested_f_test, ols_fit
 from wikicomm.wikitext import talk_page_owner
 
+from fakes import MINIWIKI, Edges, miniwiki_config, ring, seed_workdir, star
 from oracles import (
     direct_structure_metrics,
     ols_normal_equations,
@@ -30,7 +29,6 @@ from oracles import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
-MINIWIKI = FIXTURES / "miniwiki"
 GOLDEN = MINIWIKI / "golden"
 
 
@@ -44,23 +42,12 @@ def criterion(name: str):
     print(f"\nACCEPTANCE PASS: {name}")
 
 
-Edges = list[tuple[str, str, int]]
-
-
 def random_graph(rng: random.Random) -> Edges:
     n = rng.randint(2, 12)
     names = [f"v{i}" for i in range(n)]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
     count = rng.randint(1, len(pairs))
     return summed_rows((u, v, rng.randint(1, 10)) for u, v in rng.sample(pairs, count))
-
-
-def ring(n: int) -> Edges:
-    return summed_rows((f"n{i}", f"n{(i + 1) % n}", 1) for i in range(n))
-
-
-def star(n: int) -> Edges:
-    return summed_rows(("hub", f"leaf{i}", 1) for i in range(n - 1))
 
 
 def test_metric_oracle_equivalence_on_200_random_graphs():
@@ -186,14 +173,8 @@ def test_regression_oracle_and_type_i_calibration():
 
 
 def run_miniwiki(tmp_path) -> Path:
-    config = PipelineConfig.from_file(MINIWIKI / "config.json")
-    config.output_dir = str(tmp_path / "out")
-    config.cache_dir = str(tmp_path / "cache")
-    config.offline = True
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv"]:
-        shutil.copy(MINIWIKI / name, out / name)
+    config = miniwiki_config(tmp_path)
+    out = seed_workdir(config.output_dir)
     for stage in STAGE_ORDER:
         run_stage(stage, config)
     return out

@@ -16,34 +16,14 @@ from wikicomm.client import MediaWikiClient
 from wikicomm.config import PipelineConfig
 from wikicomm.pipeline import stage_ingest
 
-from fakes import RoutingSession
+from fakes import INGEST_OUTPUTS, MiniwikiApi, RoutingSession, seed_workdir, write_config
 from test_benchmark_hooks import RETIRED, tracer  # noqa: F401 (a fixture)
-from test_pipeline import INGEST_OUTPUTS, MiniwikiApi
-
-MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
-
-
-def write_config(tmp_path, **overrides) -> Path:
-    config = json.loads((MINIWIKI / "config.json").read_text())
-    config["output_dir"] = str(tmp_path / "out")
-    config["cache_dir"] = str(tmp_path / "cache")
-    config.update(overrides)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    return path
-
-
-def seed(tmp_path) -> None:
-    out = tmp_path / "out"
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv"]:
-        shutil.copy(MINIWIKI / name, out / name)
 
 
 class TestExitCodes:
     def test_successful_offline_run(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        seed(tmp_path)
+        seed_workdir(tmp_path / "out")
         code = main(["--config", str(config), "--offline", "run"])
         assert code == 0
         assert "report.txt" in capsys.readouterr().out
@@ -91,7 +71,7 @@ class TestExitCodes:
     ], ids=["string_list", "non_string_name", "not_an_object"])
     def test_members_json_of_the_wrong_shape_is_4(self, tmp_path, capsys, members, named):
         config = write_config(tmp_path)
-        seed(tmp_path)
+        seed_workdir(tmp_path / "out")
         offline = ["--config", str(config), "--offline"]
         for verb in ["ingest", "parse", "build"]:
             assert main(offline + [verb]) == 0, verb
@@ -126,7 +106,7 @@ class TestExitCodes:
 class TestCliSurface:
     def test_stage_verbs_exist(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        seed(tmp_path)
+        seed_workdir(tmp_path / "out")
         for verb in ["ingest", "parse", "build", "quality", "metrics", "regress", "report"]:
             assert main(["--config", str(config), "--offline", verb]) == 0, verb
         out = capsys.readouterr().out
@@ -134,7 +114,7 @@ class TestCliSurface:
 
     def test_cache_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path)
-        seed(tmp_path)
+        seed_workdir(tmp_path / "out")
         custom_cache = tmp_path / "elsewhere"
         code = main(
             ["--config", str(config), "--cache", str(custom_cache), "--offline", "parse"]
@@ -163,7 +143,7 @@ def test_offline_run_loads_no_http_stack(tmp_path):
     # of these modules when the interpreter starts. numpy loads neither on
     # import nor in the run.
     config = write_config(tmp_path)
-    seed(tmp_path)
+    seed_workdir(tmp_path / "out")
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -243,7 +223,7 @@ def test_stages_call_every_hooked_name(tmp_path, monkeypatch, tracer):
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     config = write_config(tmp_path)
-    seed(tmp_path)
+    seed_workdir(tmp_path / "out")
     assert main(["--config", str(config), "--offline", "run"]) == 0
     assert sorted(calls) == sorted(hooked)
     # The calls whose number the stages fix, whatever the input.
@@ -273,13 +253,13 @@ class TestNumpyLoadsOnlyWhereUsed:
     def test_every_command_runs_without_numpy(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"
-        seed(tmp_path)
+        seed_workdir(tmp_path / "out")
         assert main(["--config", str(config), "--offline", "run"]) == 0
         expected = output_files(out)
         for commands in (["ingest", "parse", "build", "quality", "metrics", "regress", "report"],
                          ["run"]):
             shutil.rmtree(out)
-            seed(tmp_path)
+            seed_workdir(tmp_path / "out")
             for command in commands:
                 result = run_without_numpy(config, command)
                 assert result.returncode == 0, (command, result.stderr)

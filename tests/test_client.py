@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -45,11 +46,11 @@ def make_client(tmp_path, script, **overrides):
     return client, session, fake
 
 
-def record(entry):
-    """The bytes of ``entry``'s record in a pack."""
-    header = {"fetched_at": entry.fetched_at.isoformat(), "key": entry.key,
-              "size": len(entry.payload)}
-    return json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + entry.payload
+def record(key, entry):
+    """The bytes of ``key``'s record in a pack; ``entry`` is ``(fetched_at, payload)``."""
+    fetched_at, payload = entry
+    header = {"fetched_at": fetched_at, "key": key, "size": len(payload)}
+    return json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
 
 
 class TornFile:
@@ -90,9 +91,10 @@ class TestCache:
     def test_round_trip(self, tmp_path):
         cache = ResponseCache(tmp_path / "c")
         entry = cache.put("key-1", b"payload")
-        loaded = cache.get("key-1")
-        assert loaded.payload == b"payload"
-        assert loaded.fetched_at == entry.fetched_at
+        fetched_at, payload = cache.get("key-1")
+        assert payload == b"payload"
+        assert fetched_at == entry[0]
+        assert datetime.fromisoformat(fetched_at).utcoffset() == timedelta(0)
 
     def test_entry_is_one_file_of_header_line_and_raw_payload(self, tmp_path):
         cache = ResponseCache(tmp_path / "c")
@@ -101,10 +103,10 @@ class TestCache:
         other = cache.put("other", b"{}")
         [pack] = (tmp_path / "c").iterdir()
         assert re.fullmatch(rf"\d{{8}}T\d{{12}}Z-{os.getpid()}\.pack", pack.name)
-        assert pack.read_bytes() == record(entry) + record(other)
-        assert record(entry).startswith(
+        assert pack.read_bytes() == record("key \u00e9\n", entry) + record("other", other)
+        assert record("key \u00e9\n", entry).startswith(
             json.dumps(
-                {"fetched_at": entry.fetched_at.isoformat(), "key": "key \u00e9\n", "size": 20},
+                {"fetched_at": entry[0], "key": "key \u00e9\n", "size": 20},
                 sort_keys=True,
             ).encode("ascii")
             + b"\n"
@@ -127,22 +129,30 @@ class TestCache:
         assert len(list(directory.iterdir())) == 2
 
     @pytest.mark.parametrize("cut", ["inside_payload", "inside_header", "unparsable_header",
-                                     "non_string_key", "negative_size"])
+                                     "non_string_key", "negative_size", "missing_instant",
+                                     "non_string_instant", "unparsable_instant"])
     def test_torn_record_ends_its_pack(self, tmp_path, caplog, cut):
         directory = tmp_path / "c"
         cache = ResponseCache(directory)
         first = cache.put("first", b"one")
         second = cache.put("second", b"two two two")
         [pack] = directory.iterdir()
-        at = len(record(first))
+        at = len(record("first", first))
+        header = {"fetched_at": second[0], "key": "second", "size": 11}
         torn = {
-            "inside_payload": record(second)[:-1],
-            "inside_header": record(second)[:10],
+            "inside_payload": record("second", second)[:-1],
+            "inside_header": record("second", second)[:10],
             "unparsable_header": b"not a header\n" + b"two two two",
-            "non_string_key": b'{"key": 2, "size": 11}\n' + b"two two two",
-            "negative_size": b'{"key": "second", "size": -1}\n' + b"two two two",
+            "non_string_key": json.dumps(dict(header, key=2)).encode() + b"\ntwo two two",
+            "negative_size": json.dumps(dict(header, size=-1)).encode() + b"\ntwo two two",
+            "missing_instant": json.dumps({"key": "second", "size": 11}).encode()
+            + b"\ntwo two two",
+            "non_string_instant": json.dumps(dict(header, fetched_at=1612182600)).encode()
+            + b"\ntwo two two",
+            "unparsable_instant": json.dumps(dict(header, fetched_at="yesterday")).encode()
+            + b"\ntwo two two",
         }[cut]
-        pack.write_bytes(record(first) + torn)
+        pack.write_bytes(record("first", first) + torn)
         with caplog.at_level("WARNING"):
             reopened = ResponseCache(directory)
         assert reopened.get("first") == first
@@ -160,8 +170,8 @@ class TestCache:
             cache.put("b", b"2")
         c = cache.put("c", b"3")
         first, second = sorted(directory.iterdir())
-        assert first.read_bytes().startswith(record(a))
-        assert second.read_bytes() == record(c)
+        assert first.read_bytes().startswith(record("a", a))
+        assert second.read_bytes() == record("c", c)
         reopened = ResponseCache(directory)
         assert [reopened.get(key) for key in "abc"] == [a, None, c]
 
@@ -170,7 +180,7 @@ class TestCache:
         one, two = ResponseCache(directory), ResponseCache(directory)
         first = one.put("key", b"first")
         later = two.put("key", b"later")
-        assert later.payload == b"later"  # two was built before one wrote
+        assert later[1] == b"later"  # two was built before one wrote
         assert len(list(directory.iterdir())) == 2
         assert ResponseCache(directory).get("key") == first
 
@@ -216,8 +226,8 @@ class TestCache:
         assert cache.get("packed") == kept
         assert cache.get("entry") is None
         assert cache.get("pair") is None
-        assert cache.put("entry", b"new").payload == b"new"
-        assert ResponseCache(directory).get("entry").payload == b"new"
+        assert cache.put("entry", b"new")[1] == b"new"
+        assert ResponseCache(directory).get("entry")[1] == b"new"
         for name, data in before.items():
             assert (directory / name).read_bytes() == data
 
@@ -225,8 +235,8 @@ class TestCache:
         cache = ResponseCache(tmp_path / "c")
         first = cache.put("key", b"one")
         second = cache.put("key", b"two")
-        assert second.payload == b"one"
-        assert second.fetched_at == first.fetched_at
+        assert second == first
+        assert second[1] == b"one"
 
     def test_canonical_request_is_order_insensitive(self):
         a = canonical_request("u", {"x": "1", "y": "2"})
@@ -240,7 +250,7 @@ class TestFetching:
         client, session, _ = make_client(tmp_path, [(200, body), (200, body)])
         first = list(client.fetch_user_talk_pages(["Alice"]))
         second = list(client.fetch_user_talk_pages(["Alice"]))
-        assert first == second == [{"title": "User talk:Alice", "wikitext": "text"}]
+        assert first == second == [("User talk:Alice", "text")]
         assert len(session.calls) == 1
 
     def test_missing_page_skipped(self, tmp_path, caplog):
@@ -251,13 +261,13 @@ class TestFetching:
         client, _, _ = make_client(tmp_path, script)
         with caplog.at_level("INFO"):
             records = list(client.fetch_user_talk_pages(["Ghost", "Alice"]))
-        assert [r["title"] for r in records] == ["User talk:Alice"]
+        assert [title for title, _ in records] == ["User talk:Alice"]
         assert any("does not exist" in message for message in caplog.messages)
 
     def test_blank_page_kept(self, tmp_path):
         client, _, _ = make_client(tmp_path, [(200, page_response("User talk:New", ""))])
         records = list(client.fetch_user_talk_pages(["New"]))
-        assert records == [{"title": "User talk:New", "wikitext": ""}]
+        assert records == [("User talk:New", "")]
 
     def test_page_without_content_skipped(self, tmp_path, caplog):
         hidden = {"query": {"pages": [{"title": "User talk:H", "revisions": [{"slots": {}}]}]}}
@@ -265,7 +275,7 @@ class TestFetching:
         client, _, _ = make_client(tmp_path, script)
         with caplog.at_level("WARNING"):
             records = list(client.fetch_user_talk_pages(["H", "Alice"]))
-        assert [r["title"] for r in records] == ["User talk:Alice"]
+        assert [title for title, _ in records] == ["User talk:Alice"]
         assert caplog.messages == ["page has no retrievable content, skipped: User talk:H"]
 
     def test_project_pages_are_the_main_page_and_two_subpages(self, tmp_path):
@@ -276,7 +286,7 @@ class TestFetching:
         titles = ["Wikipedia:WikiProject Birds", "Wikipedia:WikiProject Birds/Members",
                   "Wikipedia:WikiProject Birds/Participants"]
         assert [call["titles"] for call in session.calls] == titles
-        assert records == [{"title": title, "wikitext": "x"} for title in titles]
+        assert records == [(title, "x") for title in titles]
 
     def test_cache_keys_are_those_of_earlier_versions(self, tmp_path):
         # Caches written before the queries moved into the client, and the
@@ -337,9 +347,7 @@ class TestFetching:
 
         offline = make_config(tmp_path, offline=True)
         offline_client = MediaWikiClient(offline, session=None)
-        assert list(offline_client.fetch_user_talk_pages(["A"])) == [
-            {"title": "User talk:A", "wikitext": "x"}
-        ]
+        assert list(offline_client.fetch_user_talk_pages(["A"])) == [("User talk:A", "x")]
         with pytest.raises(FetchExhaustedError, match="offline"):
             list(offline_client.fetch_user_talk_pages(["B"]))
 
@@ -374,15 +382,11 @@ class TestTransportFailures:
             (200, body),
         ]
         client, session, fake = make_client(tmp_path, script, request_interval=1.0)
-        assert list(client.fetch_user_talk_pages(["A"])) == [
-            {"title": "User talk:A", "wikitext": "x"}
-        ]
+        assert list(client.fetch_user_talk_pages(["A"])) == [("User talk:A", "x")]
         assert len(session.calls) == 3
         assert fake.sleeps == [2.0, 4.0]
         assert len(cached_keys(client)) == 1
-        assert list(client.fetch_user_talk_pages(["A"])) == [
-            {"title": "User talk:A", "wikitext": "x"}
-        ]
+        assert list(client.fetch_user_talk_pages(["A"])) == [("User talk:A", "x")]
         assert len(session.calls) == 3
 
     def test_exhausted_transport_errors_name_the_last_and_cache_nothing(self, tmp_path):
@@ -444,13 +448,11 @@ class TestOnlyAnswersAreCached:
         client, session, fake = make_client(
             tmp_path, [(200, PROXY_PAGE), (200, body)], request_interval=1.0
         )
-        assert list(client.fetch_user_talk_pages(["A"])) == [
-            {"title": "User talk:A", "wikitext": "x"}
-        ]
+        assert list(client.fetch_user_talk_pages(["A"])) == [("User talk:A", "x")]
         assert len(session.calls) == 2
         assert fake.sleeps == [2.0]
         key = canonical_request(client.config.api_base_url, session.calls[0]["params"])
-        assert json.loads(client.cache.get(key).payload) == body
+        assert json.loads(client.cache.get(key)[1]) == body
         assert len(cached_keys(client)) == 1
 
     @pytest.mark.parametrize("payload", [PROXY_PAGE, b"", b"[1, 2]", b"\xff\xfe"],
@@ -528,11 +530,9 @@ class TestOnlyAnswersAreCached:
         body = page_response("User talk:A", "x")
         session = ScriptSession([(200, body)])
         client = MediaWikiClient(config, session=session, sleep=lambda s: None)
-        assert list(client.fetch_user_talk_pages(["A"])) == [
-            {"title": "User talk:A", "wikitext": "x"}
-        ]
+        assert list(client.fetch_user_talk_pages(["A"])) == [("User talk:A", "x")]
         assert len(session.calls) == 1
-        assert json.loads(ResponseCache(config.cache_dir).get(key).payload) == body
+        assert json.loads(ResponseCache(config.cache_dir).get(key)[1]) == body
 
 
 # Answers whose pages are not where formatversion 2 puts them.
@@ -658,9 +658,9 @@ class TestAssessments:
         client, session, _ = make_client(tmp_path, [(200, page1), (200, page2)])
         rows = list(client.fetch_assessments())
         assert rows == [
-            {"project": "Tropical storms", "article": "Hurricane A", "grade": "FA"},
-            {"project": "Tropical storms", "article": "Hurricane B", "grade": "GA"},
-            {"project": "Weather", "article": "Hurricane B", "grade": "B"},
+            ("Tropical storms", "Hurricane A", "FA"),
+            ("Tropical storms", "Hurricane B", "GA"),
+            ("Weather", "Hurricane B", "B"),
         ]
         assert "gapcontinue" in session.calls[1]["params"]
 

@@ -12,20 +12,10 @@ from wikicomm.graph import (
     write_edge_list,
 )
 
+from fakes import Edges, ring, star
 from oracles import direct_structure_metrics, summed_rows
 
 LOG2_3 = math.log2(3)
-
-Edges = list[tuple[str, str, int]]
-
-
-def star(n: int) -> Edges:
-    return summed_rows(("hub", f"leaf{i}", 1) for i in range(n - 1))
-
-
-def ring(n: int) -> Edges:
-    return summed_rows((f"n{i}", f"n{(i + 1) % n}", 1) for i in range(n))
-
 
 def complete(n: int) -> Edges:
     names = [f"n{i}" for i in range(n)]

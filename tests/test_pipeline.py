@@ -27,34 +27,21 @@ from wikicomm.pipeline import (
 )
 
 from fakes import (
+    INGEST_OUTPUTS,
+    MINIWIKI,
+    MiniwikiApi,
     RoutingSession,
+    load_jsonl,
+    miniwiki_config,
     read_pack,
+    seed_workdir,
+    wikitexts,
 )
 from oracles import reference_posts_jsonl, reference_project_members
-from test_wikitext import wikitexts
 
-MINIWIKI = Path(__file__).parent / "fixtures" / "miniwiki"
 GOLDEN = MINIWIKI / "golden"
 
 OFFLINE_STAGES = STAGE_ORDER  # ingest reuses pre-seeded inputs when offline
-INGEST_OUTPUTS = ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv",
-                  "fetch_manifest.json"]
-
-
-def miniwiki_config(tmp_path) -> PipelineConfig:
-    config = PipelineConfig.from_file(MINIWIKI / "config.json")
-    config.output_dir = str(tmp_path / "out")
-    config.cache_dir = str(tmp_path / "cache")
-    config.offline = True
-    return config
-
-
-def seed_workdir(config: PipelineConfig) -> Path:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ["project_pages.jsonl", "talk_pages.jsonl", "assessments.csv"]:
-        shutil.copy(MINIWIKI / name, out / name)
-    return out
 
 
 def golden_files() -> list[Path]:
@@ -76,7 +63,7 @@ def read_out(config: PipelineConfig) -> dict[str, bytes]:
 class TestGoldenRun:
     def test_reproduces_all_goldens_byte_for_byte(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         started = time.monotonic()
         run_offline(config)
         elapsed = time.monotonic() - started
@@ -89,7 +76,7 @@ class TestGoldenRun:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         run_offline(config)
         first = read_out(config)
         run_offline(config)
@@ -97,7 +84,7 @@ class TestGoldenRun:
 
     def test_project_below_active_threshold_absent_from_regression_input(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         run_offline(config)
         with open(Path(config.output_dir) / "variables.csv", newline="") as f:
             projects = [row["project"] for row in csv.DictReader(f)]
@@ -112,7 +99,7 @@ class TestGoldenRun:
 
     def test_mass_message_and_scope_tripwires_hold(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build"]:
             run_stage(stage, config)
         edges = (Path(config.output_dir) / "networks" / "Geckos.edges").read_text()
@@ -126,7 +113,7 @@ class TestGoldenRun:
 
     def test_stage_isolation_downstream_corruption(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         run_offline(config)
         out = Path(config.output_dir)
         upstream = {
@@ -144,7 +131,7 @@ class TestGoldenRun:
 
     def test_failed_summary_write_keeps_previous_projects_csv(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build"]:
             run_stage(stage, config)
         out = Path(config.output_dir)
@@ -163,7 +150,7 @@ class TestGoldenRun:
 
     def test_failed_variables_write_keeps_previous_variables_csv(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build", "quality", "metrics"]:
             run_stage(stage, config)
         out = Path(config.output_dir)
@@ -182,7 +169,7 @@ class TestGoldenRun:
 
     def test_failed_edge_list_write_keeps_previous_networks(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build"]:
             run_stage(stage, config)
         out = Path(config.output_dir)
@@ -207,7 +194,7 @@ class TestGoldenRun:
         # Swapping networks/ in is the last step of build: interrupted there,
         # metrics must not pair a new projects.csv with the old networks.
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build", "quality"]:
             run_stage(stage, config)
         out = Path(config.output_dir)
@@ -232,7 +219,7 @@ class TestGoldenRun:
 
     def test_dropped_project_loses_its_edge_list(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build"]:
             run_stage(stage, config)
         out = Path(config.output_dir)
@@ -250,7 +237,7 @@ class TestGoldenRun:
 
     def test_slug_collision_fails_build_untouched(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build"]:
             run_stage(stage, config)
         out = Path(config.output_dir)
@@ -266,7 +253,7 @@ class TestGoldenRun:
 
     def test_metrics_never_opens_a_dropped_projects_network(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build", "quality"]:
             run_stage(stage, config)
         out = Path(config.output_dir)
@@ -278,7 +265,7 @@ class TestGoldenRun:
 
     def test_metrics_logs_the_filtering_funnel(self, tmp_path, caplog):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build", "quality"]:
             run_stage(stage, config)
         with caplog.at_level("INFO", logger="wikicomm.pipeline"):
@@ -291,7 +278,7 @@ class TestGoldenRun:
     def test_build_on_work_dir_without_interactions_fails_untouched(self, tmp_path):
         # As when build runs before parse.
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build"]:
             run_stage(stage, config)
         out = Path(config.output_dir)
@@ -306,7 +293,7 @@ class TestGoldenRun:
     ], ids=["two_fields", "four_fields", "letter", "empty", "negative", "zero", "superscript"])
     def test_malformed_interactions_line_fails_build_naming_it(self, tmp_path, line):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "parse", "build"]:
             run_stage(stage, config)
         path = Path(config.output_dir) / "interactions.tsv"
@@ -321,7 +308,7 @@ class TestGoldenRun:
 
     def test_quality_summary_reports_fa_ga_correlation(self, tmp_path):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         for stage in ["ingest", "quality"]:
             run_stage(stage, config)
         summary = json.loads(
@@ -580,7 +567,7 @@ def seed_multichunk_workdir(config, monkeypatch) -> list:
     the blank line).
     """
     monkeypatch.setattr(pipeline, "PARSE_CHUNK_BYTES", 4096)
-    out = seed_workdir(config)
+    out = seed_workdir(config.output_dir)
     project_pages = load_jsonl(MINIWIKI / "project_pages.jsonl")
     write_jsonl(out / "project_pages.jsonl", sorted(project_pages, key=lambda r: "/" in r["title"]))
     talk = load_jsonl(MINIWIKI / "talk_pages.jsonl")
@@ -603,7 +590,7 @@ def seed_multichunk_workdir(config, monkeypatch) -> list:
 class TestParallelParse:
     def test_routes_write_identical_bytes_on_miniwiki(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         pooled = parse_on(POOLED, config, monkeypatch), parse_outputs(config)
         in_process = parse_on(IN_PROCESS, config, monkeypatch), parse_outputs(config)
         assert pooled == in_process
@@ -680,7 +667,7 @@ class TestParallelParse:
     @ROUTES
     def test_parse_logs_the_post_funnel(self, tmp_path, monkeypatch, caplog, cpus):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         with caplog.at_level("INFO", logger="wikicomm.pipeline"):
             parse_on(cpus, config, monkeypatch)
         counts = reference_post_counts(config, load_jsonl(MINIWIKI / "talk_pages.jsonl"))
@@ -699,7 +686,7 @@ class TestParallelParse:
         if multichunk:
             talk = seed_multichunk_workdir(config, monkeypatch)
         else:
-            seed_workdir(config)
+            seed_workdir(config.output_dir)
             talk = load_jsonl(MINIWIKI / "talk_pages.jsonl")
         outputs = set()
         for chunk_bytes in (4096, 1 << 20):
@@ -767,7 +754,7 @@ class TestParallelParse:
 
     def test_dead_worker_fails_parse_instead_of_hanging(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         parse_on(POOLED, config, monkeypatch)
         before = parse_outputs(config)
         # Workers fork from this process, so they inherit the patch.
@@ -793,7 +780,7 @@ class TestParallelParse:
         self, tmp_path, monkeypatch, caplog, cpus
     ):
         config = miniwiki_config(tmp_path)
-        out = seed_workdir(config)
+        out = seed_workdir(config.output_dir)
         records = load_jsonl(MINIWIKI / "talk_pages.jsonl")
         records.insert(40, {
             "title": "Talk:Asters",
@@ -811,7 +798,7 @@ class TestParallelParse:
         # Each title's user part normalizes to an empty name, so the page has
         # no owner to count posts against.
         config = miniwiki_config(tmp_path)
-        out = seed_workdir(config)
+        out = seed_workdir(config.output_dir)
         counts = parse_on(cpus, config, monkeypatch)
         expected = parse_outputs(config)
         titles = ["User talk:_", "User talk: /Archive 1", "User talk:/x"]
@@ -835,7 +822,7 @@ class TestParallelParse:
     def test_one_cpu_parses_in_this_process(self, tmp_path, monkeypatch):
         # Profilers and the benchmark's hooks see the parser only on this route.
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         calls = []
         count = pipeline.count_interactions
         monkeypatch.setattr(
@@ -851,7 +838,7 @@ class TestParallelParse:
     ):
         # macOS and Windows have no os.sched_getaffinity (and Windows no fork).
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         parse_on(POOLED, config, monkeypatch)
         pooled = parse_outputs(config)
         calls = []
@@ -866,7 +853,7 @@ class TestParallelParse:
 
     def test_one_signature_scan_per_talk_page(self, tmp_path, monkeypatch):
         config = miniwiki_config(tmp_path)
-        seed_workdir(config)
+        seed_workdir(config.output_dir)
         scans = []
         scan = wikitext._iter_signatures
 
@@ -902,7 +889,7 @@ class TestParallelParse:
         # U+2028 and U+0085 end a line for str.splitlines, not for the dump.
         monkeypatch.setattr(pipeline, "PARSE_CHUNK_BYTES", 4096)
         config = miniwiki_config(tmp_path)
-        out = seed_workdir(config)
+        out = seed_workdir(config.output_dir)
         text = "== Grüße ==\n日本語 Ωmega \U0001f600 \u2028\x85 " * 40
         text += "[[User:Zoë]] 10:00, 1 May 2021 (UTC)\n"
         records = [{"title": f"User talk:Ærin/Archive {k}", "wikitext": text} for k in range(40)]
@@ -918,7 +905,7 @@ class TestParallelParse:
     def test_undecodable_line_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "PARSE_CHUNK_BYTES", 4096)
         config = miniwiki_config(tmp_path)
-        out = seed_workdir(config)
+        out = seed_workdir(config.output_dir)
         lines = (out / "talk_pages.jsonl").read_bytes().splitlines(keepends=True)
         lines[60] = lines[60].replace(b"User talk:", b"User talk:\xff", 1)
         (out / "talk_pages.jsonl").write_bytes(b"".join(lines))
@@ -940,78 +927,9 @@ class TestParallelParse:
 # -- full run against a mocked API -------------------------------------------
 
 
-def load_jsonl(path: Path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
-
-
-class MiniwikiApi:
-    """Serves the mini-wiki fixtures in MediaWiki API response shapes."""
-
-    def __init__(self):
-        self.pages = {
-            record["title"]: record["wikitext"]
-            for record in load_jsonl(MINIWIKI / "project_pages.jsonl")
-        }
-        self.pages.update(
-            {
-                record["title"]: record["wikitext"]
-                for record in load_jsonl(MINIWIKI / "talk_pages.jsonl")
-            }
-        )
-        with open(MINIWIKI / "assessments.csv", newline="", encoding="utf-8") as f:
-            self.assessment_rows = list(csv.DictReader(f))
-        self.split = len(self.assessment_rows) // 2
-
-    def _assessment_page(self, rows):
-        return [
-            {
-                "title": row["article"],
-                "pageassessments": {row["project"]: {"class": row["grade"]}},
-            }
-            for row in rows
-        ]
-
-    def __call__(self, params):
-        if "titles" in params:
-            title = params["titles"]
-            if title in self.pages:
-                return 200, {
-                    "query": {
-                        "pages": [
-                            {
-                                "title": title,
-                                "revisions": [
-                                    {"slots": {"main": {"content": self.pages[title]}}}
-                                ],
-                            }
-                        ]
-                    }
-                }
-            return 200, {"query": {"pages": [{"title": title, "missing": True}]}}
-        if params.get("generator") == "allpages":
-            if "gapcontinue" not in params:
-                return 200, {
-                    "query": {"pages": self._assessment_page(self.assessment_rows[: self.split])},
-                    "continue": {"gapcontinue": "second-batch", "continue": "gapcontinue||"},
-                }
-            return 200, {
-                "query": {"pages": self._assessment_page(self.assessment_rows[self.split :])}
-            }
-        raise AssertionError(f"unexpected request: {params}")
-
-
 class TestMockedIngestRun:
     def make_config(self, tmp_path):
-        config = PipelineConfig.from_file(MINIWIKI / "config.json")
-        config.output_dir = str(tmp_path / "out")
-        config.cache_dir = str(tmp_path / "cache")
-        config.request_interval = 0.001
-        return config
+        return miniwiki_config(tmp_path, offline=False, request_interval=0.001)
 
     def run_all(self, config, session):
         client = MediaWikiClient(config, session=session, sleep=lambda s: None)

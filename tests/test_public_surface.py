@@ -13,7 +13,7 @@ import pytest
 
 import wikicomm
 
-from test_cli import MINIWIKI, seed, write_config
+from fakes import MINIWIKI, seed_workdir, write_config
 
 MODULES = ["wikicomm"] + [
     f"wikicomm.{info.name}" for info in pkgutil.iter_modules(wikicomm.__path__)
@@ -83,7 +83,7 @@ def test_offline_run_writes_the_goldens_under_every_other_cpython(tmp_path):
         work = tmp_path / str(i)
         work.mkdir()
         config = write_config(work)
-        seed(work)
+        seed_workdir(work / "out")
         result = subprocess.run(
             [python, "-m", "wikicomm.cli", "--config", str(config), "--offline", "run"],
             env=env, capture_output=True, text=True, timeout=300,

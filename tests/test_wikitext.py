@@ -23,6 +23,7 @@ from wikicomm.wikitext import (
     talk_page_owner,
 )
 
+from fakes import wikitexts
 from oracles import (
     DiscussionThread,
     Post,
@@ -523,53 +524,6 @@ def test_parser_never_raises_on_arbitrary_wikitext(text):
 
 
 # -- the fast scan against the reference parser --------------------------------
-
-MONTHS = ["January", "February", "May", "December"]
-NAMES = ["Ann", "bo_b", "Łukasz", "Zoë  Ng", "李小龍", "_", "MediaWiki message delivery"]
-LINK_FORMS = [
-    "[[User:{n}|{n}]]", "[[user:{n}]]", "[[User_talk:{n}|talk]]", "[[User talk:{n}]]",
-    "[[[User:{n}]]", "[[ USER : {n} # top ]]", "[[User:{n}/Sandbox|s]]",
-    "[[Special:Contributions/{n}|contribs]]", "[[Main Page]]", "[[User:{n}",
-]
-links = st.builds(
-    lambda form, name: form.format(n=name), st.sampled_from(LINK_FORMS), st.sampled_from(NAMES)
-)
-# Valid, invalid (24:00, 10:60, 30 February, day 0, year 0000) and
-# implausible (0999, 2099) dates; \s* and \s+ may span a newline.
-timestamps = st.builds(
-    "{}:{},{}{}{}{}{}{}{}(UTC)".format,
-    st.sampled_from(["0", "9", "09", "23", "24", "123"]),
-    st.sampled_from(["00", "59", "60"]),
-    st.sampled_from(["", " ", "\n"]),
-    st.sampled_from(["0", "1", "15", "29", "30", "31"]),
-    st.sampled_from([" ", "\n", " \t "]),
-    st.sampled_from(MONTHS),
-    st.sampled_from([" ", "\n"]),
-    st.sampled_from(["0999", "2000", "2001", "2021", "2099", "0000"]),
-    st.sampled_from([" ", "\n"]),
-)
-plain_signatures = st.builds(
-    "[[User:{}|x]] {}".format,
-    st.sampled_from(NAMES[:5]),
-    st.sampled_from(["10:00, 1 May 2021 (UTC)", "09:05, 29 February 2020 (UTC)"]),
-)
-line_starts = st.sampled_from(
-    ["\n", "\n: ", "\n:* ", "\n{{barnstar}} ", "\n=== sub ===\n", "\n=== sub ===\n\n:: "]
-)
-pieces = st.one_of(
-    links,
-    timestamps,
-    st.builds("{} {}".format, links, timestamps),
-    st.builds("{} ping {} {}".format, links, links, timestamps),
-    st.builds("{}{}".format, line_starts, plain_signatures),
-    st.sampled_from([
-        "\n", "\n\n", "== Thread ==\n", "==x==", ": ", "* ", "prose ",
-        "== [[User:Ann|Ann]] 10:00, 1 May 2021 (UTC) ==\n",
-        "<!-- Message sent by User:Coordinator@enwiki -->",
-    ]),
-    st.text(alphabet="[]:=|\n ,0123456789UTC()Mayuser", max_size=12),
-)
-wikitexts = st.lists(pieces, max_size=14).map("".join)
 
 
 @given(wikitexts)
